@@ -47,8 +47,8 @@ STATE_FORMAT_VERSION = 1
 #: from :data:`STATE_FORMAT_VERSION`, which versions the *in-memory*
 #: snapshot mapping: the manifest version covers the directory layout —
 #: file naming, the manifest's own keys, the delta structure. Version 1
-#: manifests (pre-durability, no version field) are still readable;
-#: version 2 added the field itself and the delta layout.
+#: manifests (pre-durability, no version field) are refused; version 2
+#: added the field itself and the delta layout.
 CHECKPOINT_MANIFEST_VERSION = 2
 
 

@@ -63,13 +63,8 @@ class SimulatedCluster(Executor):
         backend runs the per-partition data movement concurrently without
         changing any simulated cost or any sampling trajectory (tasks are
         RNG-free or own private streams; see the engine's determinism
-        contract). A transport-capable process backend
-        (:class:`~repro.engine.executors.ProcessPoolExecutor`) is accepted
-        too: the distributed algorithms then keep their reservoir/sample
-        partitions *resident* in the persistent workers
-        (:mod:`repro.distributed.resident`) instead of submitting closures.
-        State-shipping backends without a transport are rejected —
-        closure tasks cannot mutate driver-held partitions across a
+        contract). A process backend is rejected: partition tasks are
+        closures that mutate driver-held partitions, which cannot cross a
         process boundary.
     """
 
@@ -87,16 +82,12 @@ class SimulatedCluster(Executor):
         super().__init__()
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
-        if (
-            backend is not None
-            and backend.ships_state
-            and not getattr(backend, "provides_transport", False)
-        ):
+        if backend is not None and backend.provides_transport:
             raise ValueError(
                 "the simulated cluster needs an in-process backend (serial or "
-                "thread) or a transport-capable process backend; a plain "
-                "state-shipping backend cannot mutate the driver-held "
-                "reservoir partitions"
+                f"thread), got {backend.name!r}: partition tasks mutate "
+                "driver-held reservoir partitions, which cannot cross a "
+                "process boundary"
             )
         self.num_workers = int(num_workers)
         self.cost_model = cost_model if cost_model is not None else CostModel()

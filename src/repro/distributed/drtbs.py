@@ -40,7 +40,6 @@ serial trajectories bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from enum import Enum
 from typing import Any, Iterable, Sequence
@@ -61,18 +60,10 @@ from repro.distributed.reservoirs import (
     DistributedReservoir,
     KeyValueStoreReservoir,
 )
-from repro.distributed.resident import (
-    ResidentCoPartitionedReservoir,
-    ResidentKeyValueStoreReservoir,
-)
 
 __all__ = ["ReservoirBackend", "DecisionStrategy", "JoinStrategy", "DistributedRTBS"]
 
 _WEIGHT_EPSILON = 1e-12
-
-#: Distinguishes the resident buckets of successive reservoir generations
-#: (and of different algorithm instances) sharing one transport pool.
-_RESERVOIR_IDS = itertools.count(1)
 
 
 class ReservoirBackend(str, Enum):
@@ -159,12 +150,6 @@ class DistributedRTBS:
                 "the key-value store needs centrally generated slot numbers (Section 5.3)"
             )
         self._rng = ensure_rng(rng)
-        # Transport-capable backend (persistent process workers): reservoir
-        # partition buckets live resident in the workers; the master's plan
-        # draws are unchanged, so trajectories stay bit-identical.
-        self._transport_capable = bool(
-            getattr(cluster.backend, "provides_transport", False)
-        )
         self._reservoir = self._make_reservoir()
         self._partial_item: Any | None = None
         self._total_weight = 0.0
@@ -418,13 +403,6 @@ class DistributedRTBS:
         tasks = sorted(planned.items())
         if not tasks:
             return
-        if getattr(self._reservoir, "is_resident", False):
-            # Resident buckets: each apply is one pipelined transport call
-            # carrying only this batch's pieces; ordering per bucket is the
-            # pipe's FIFO order, identical to the task order below.
-            for destination, pieces in tasks:
-                self._reservoir.apply_inserts(destination, pieces)
-            return
         self.cluster.map_partitions(
             self._apply_insert_task, tasks, description="apply planned inserts"
         )
@@ -434,13 +412,6 @@ class DistributedRTBS:
             (partition, indices) for partition, indices in enumerate(plans) if indices
         ]
         if not tasks:
-            return []
-        if getattr(self._reservoir, "is_resident", False):
-            # Pipelined deletes; no caller of this path consumes the removed
-            # items (promote-to-partial goes through the synchronous
-            # ``delete_per_partition`` instead).
-            for partition, indices in tasks:
-                self._reservoir.apply_deletes(partition, indices)
             return []
         removed_lists = self.cluster.map_partitions(
             self._apply_delete_task, tasks, description="apply planned deletes"
@@ -556,8 +527,6 @@ class DistributedRTBS:
         if self._virtual_mode:
             self._virtual_full_count = 0
         else:
-            if getattr(self._reservoir, "is_resident", False):
-                self._reservoir.discard()
             self._reservoir = self._make_reservoir()
 
     # ------------------------------------------------------------------
@@ -637,16 +606,6 @@ class DistributedRTBS:
         return self._reservoir.total_items()
 
     def _make_reservoir(self) -> DistributedReservoir:
-        if self._transport_capable:
-            pool = self.cluster.backend.transport
-            reservoir_id = next(_RESERVOIR_IDS)
-            if self.reservoir_backend is ReservoirBackend.KEY_VALUE:
-                return ResidentKeyValueStoreReservoir(
-                    self.cluster.num_workers, pool, reservoir_id, rng=self._rng
-                )
-            return ResidentCoPartitionedReservoir(
-                self.cluster.num_workers, pool, reservoir_id
-            )
         if self.reservoir_backend is ReservoirBackend.KEY_VALUE:
             return KeyValueStoreReservoir(self.cluster.num_workers, rng=self._rng)
         return CoPartitionedReservoir(self.cluster.num_workers)

@@ -103,7 +103,7 @@ class DistributedReservoir:
         rng = ensure_rng(rng)
         plans: list[list[int]] = []
         for partition, count in enumerate(counts):
-            population = self._population(partition)
+            population = len(self._partitions[partition])
             count = min(count, population)
             if count == 0:
                 plans.append([])
@@ -124,16 +124,6 @@ class DistributedReservoir:
         key-value store draws a hash destination per item.
         """
         raise NotImplementedError
-
-    def _population(self, partition: int) -> int:
-        """Current size of one partition, as seen by the planner.
-
-        The single hook a storage variant overrides to re-site the buckets
-        (the transport-resident reservoir mirrors sizes driver-side) without
-        forking the delete plan's draw order — which is the bit-identity
-        contract across backends.
-        """
-        return len(self._partitions[partition])
 
     # ------------------------------------------------------------------
     # apply phase (partition-local, RNG-free data movement)

@@ -14,10 +14,10 @@ D-R-TBS/D-T-TBS algorithms, the benchmarks — runs through this package's
   on attach), per-worker ring buffers for zero-copy array frames, pipelined
   dispatch with acknowledgement-driven backpressure, and
   :class:`~repro.engine.errors.EngineError` failure semantics;
-* :mod:`repro.engine.shards` — process-safe shard work units built on the
+* :mod:`repro.engine.shards` — shard work units built on the
   ``state_dict()`` snapshot protocol (the process backend ships shard
   state, never pickled closures), including the worker-side
-  :func:`service_ingest_frame` routing hot path;
+  :func:`service_ingest_routed` ingest of pre-routed frames;
 * :class:`~repro.distributed.cluster.SimulatedCluster` — the fourth
   implementation of the protocol, living with the distributed layer: it
   *prices* stages with the paper's calibrated cost model instead of
@@ -50,10 +50,8 @@ from repro.engine.shards import (
     ShardTask,
     group_by_destination,
     ingest_shard_inplace,
-    ingest_shard_state,
     merge_samples,
     restore_sampler,
-    service_ingest_frame,
     service_ingest_routed,
     service_snapshot_views,
     snapshot_sampler,
@@ -73,13 +71,11 @@ __all__ = [
     "map_partitions",
     "reduce_merge",
     "ShardTask",
-    "ingest_shard_state",
     "ingest_shard_inplace",
     "merge_samples",
     "group_by_destination",
     "restore_sampler",
     "snapshot_sampler",
-    "service_ingest_frame",
     "service_ingest_routed",
     "service_snapshot_views",
     "ShardWorkerPool",

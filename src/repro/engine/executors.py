@@ -75,12 +75,9 @@ class Executor(ABC):
 
     #: Short backend identifier, e.g. ``"serial"``/``"thread"``/``"process"``.
     name: str = "executor"
-    #: True when tasks cross a process boundary: the task function must be
-    #: module-level, and arguments/results must be picklable. Callers that
-    #: own live, unpicklable objects (samplers holding RNGs and object
-    #: arrays) must ship ``state_dict()`` snapshots instead.
-    ships_state: bool = False
-    #: True when the backend exposes a :attr:`transport`
+    #: True when tasks cross a process boundary (the task function must be
+    #: module-level, arguments and results picklable) and the backend
+    #: exposes a :attr:`transport`
     #: (:class:`~repro.engine.transport.ShardWorkerPool`) for resident shard
     #: state and shared-memory array frames. Checked as a flag so callers do
     #: not spawn worker processes just by probing for the capability.
@@ -233,7 +230,6 @@ class ProcessPoolExecutor(Executor):
     """
 
     name = "process"
-    ships_state = True
     provides_transport = True
 
     def __init__(self, max_workers: int | None = None) -> None:

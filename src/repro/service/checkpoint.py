@@ -197,6 +197,26 @@ def save_checkpoint(state: dict[str, Any], directory: str | os.PathLike) -> None
                 pass
 
 
+def _check_manifest_version(
+    manifest: dict[str, Any], manifest_path: str, label: str
+) -> None:
+    """Refuse a manifest with no ``manifest_version`` or a newer one."""
+    if "manifest_version" not in manifest:
+        raise CheckpointError(
+            f"{label} {manifest_path} has no 'manifest_version' field: it "
+            "predates versioned manifests and is no longer readable; this "
+            f"build reads manifest_version {CHECKPOINT_MANIFEST_VERSION}"
+        )
+    manifest_version = manifest["manifest_version"]
+    if manifest_version > CHECKPOINT_MANIFEST_VERSION:
+        raise CheckpointError(
+            f"{label} {manifest_path} has manifest_version "
+            f"{manifest_version}, newer than this build reads "
+            f"({CHECKPOINT_MANIFEST_VERSION}); load it with the build that "
+            "wrote it"
+        )
+
+
 def load_checkpoint(directory: str | os.PathLike) -> dict[str, Any]:
     """Load a snapshot mapping previously written by :func:`save_checkpoint`.
 
@@ -223,16 +243,7 @@ def load_checkpoint(directory: str | os.PathLike) -> dict[str, Any]:
             f"corrupt checkpoint manifest {manifest_path}: expected a mapping "
             "with 'arrays_file' and 'state' keys"
         )
-    # Pre-durability manifests carry no version field; they are version 1
-    # and the file layout they describe is unchanged, so they load as-is.
-    manifest_version = manifest.get("manifest_version", 1)
-    if manifest_version > CHECKPOINT_MANIFEST_VERSION:
-        raise CheckpointError(
-            f"checkpoint manifest {manifest_path} has manifest_version "
-            f"{manifest_version}, newer than this build reads "
-            f"({CHECKPOINT_MANIFEST_VERSION}); load it with the build that "
-            "wrote it"
-        )
+    _check_manifest_version(manifest, manifest_path, "checkpoint manifest")
     arrays_path = os.path.join(directory, manifest["arrays_file"])
     if not os.path.exists(arrays_path):
         raise CheckpointError(
@@ -476,13 +487,7 @@ def load_service_delta(directory: str | os.PathLike) -> tuple[dict[str, Any], in
             f"mapping with kind={_DELTA_KIND!r} and 'service', 'shards', "
             "'watermark' keys"
         )
-    manifest_version = manifest.get("manifest_version", 1)
-    if manifest_version > CHECKPOINT_MANIFEST_VERSION:
-        raise CheckpointError(
-            f"delta-checkpoint manifest {manifest_path} has manifest_version "
-            f"{manifest_version}, newer than this build reads "
-            f"({CHECKPOINT_MANIFEST_VERSION})"
-        )
+    _check_manifest_version(manifest, manifest_path, "delta-checkpoint manifest")
 
     problems: list[str] = []
     scalar_state: dict[str, Any] | None = None

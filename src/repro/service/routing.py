@@ -2,8 +2,7 @@
 
 Routing must be *stable across processes* — a service restored from a
 checkpoint in a fresh interpreter must send every key to the same shard the
-original did, and a transport worker routing a broadcast batch must agree
-with the driver — so Python's salted ``hash()`` is off the table
+original did — so Python's salted ``hash()`` is off the table
 (``PYTHONHASHSEED`` changes it per process). Deterministic hashes are used
 instead:
 
@@ -79,7 +78,6 @@ convenience built on the same primitive; sub-batches come back as
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from hashlib import blake2b
 from typing import Any, Iterable, NamedTuple, Sequence
@@ -111,11 +109,9 @@ _MASK64 = (1 << 64) - 1
 _FNV_BASIS = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
-#: Bound on the v1 per-key digest cache. The default keeps ~64k distinct
-#: keys resident (a few MB); streams with larger hot key sets can raise it
-#: via ``REPRO_ROUTING_CACHE_SIZE`` before first import. v2 routing does
-#: not use the cache at all.
-_ROUTING_CACHE_SIZE = int(os.environ.get("REPRO_ROUTING_CACHE_SIZE", "65536"))
+#: Bound on the v1 per-key digest cache: ~64k distinct keys (a few MB).
+#: v2 routing does not use the cache at all.
+_ROUTING_CACHE_SIZE = 65536
 
 
 def _check_version(version: int) -> None:
@@ -167,7 +163,7 @@ def _blake2b_bytes_hash(data: bytes) -> int:
 
     Keyed streams route the same identities over and over (user ids, device
     ids); the cache turns the digest into a dict probe for every repeat.
-    The cache is bounded (see ``REPRO_ROUTING_CACHE_SIZE``), so an
+    The cache is bounded (see ``_ROUTING_CACHE_SIZE``), so an
     all-distinct stream degrades to one digest per key, never to unbounded
     memory.
     """

@@ -93,7 +93,6 @@ from repro.engine import (
     WorkerCrashError,
     get_executor,
     ingest_shard_inplace,
-    ingest_shard_state,
     restore_sampler,
     service_ingest_routed,
     service_snapshot_views,
@@ -324,10 +323,8 @@ class SamplerService:
         #: Whether any batch was ever routed on caller-supplied explicit
         #: keys. Explicit keys are not a function of the payload, so a
         #: service that used them (and has no ``key_fn``) cannot recompute
-        #: retained items' keys — which :meth:`reshard` needs. ``None``
-        #: means *unknown*: the service was restored from a pre-elastic
-        #: checkpoint that did not record the flag.
-        self._explicit_keys_used: bool | None = False
+        #: retained items' keys — which :meth:`reshard` needs.
+        self._explicit_keys_used = False
         self._init_transport_state()
         if wal_dir is not None:
             self._wal = WriteAheadLog.create(
@@ -712,12 +709,9 @@ class SamplerService:
         live shard sampler plus its preassembled sub-batch arrays —
         contiguous slices out of
         :func:`~repro.service.routing.split_by_shard`'s single gather — so
-        thread-pool tasks go straight into GIL-releasing NumPy kernels. A
-        plain state-shipping backend (``ships_state`` without a transport)
-        gets ``state_dict()`` snapshots and has the returned post-ingest
-        snapshots restored, the classic :func:`ingest_shard_state` work
-        unit. (The transport backend never reaches here — it takes the
-        resident broadcast-frame path instead.)
+        thread-pool tasks go straight into GIL-releasing NumPy kernels.
+        (The transport backend never reaches here — it takes the resident
+        routed-frame path instead.)
         """
         shard_ids = sorted(pending)
         if not shard_ids:
@@ -726,17 +720,6 @@ class SamplerService:
         self._ckpt_dirty.update(shard_ids)
         shards = [self._get_or_create_shard(shard_id) for shard_id in shard_ids]
         try:
-            if self._executor.ships_state:
-                tasks = [
-                    (shard.state_dict(), *pending[shard_id])
-                    for shard_id, shard in zip(shard_ids, shards)
-                ]
-                new_states = self._executor.map_partitions(
-                    ingest_shard_state, tasks, description="ingest shard sub-streams"
-                )
-                for shard_id, state in zip(shard_ids, new_states):
-                    self._shards[shard_id] = Sampler.from_state_dict(state)
-                return
             tasks = [
                 (shard, *pending[shard_id])
                 for shard_id, shard in zip(shard_ids, shards)
@@ -985,7 +968,7 @@ class SamplerService:
             return
         begin = perf_counter() if self._profile_enabled else 0.0
         self._wal.append_batch(
-            self._batches_seen - 1, time, routed, bool(self._explicit_keys_used)
+            self._batches_seen - 1, time, routed, self._explicit_keys_used
         )
         if self._profile_enabled:
             self._note_phase("wal", perf_counter() - begin)
@@ -1716,10 +1699,7 @@ class SamplerService:
         passed alongside one are treated as a precomputed cache of
         ``key_fn`` (the contract of mixing the two; if they disagreed, the
         original routing was already inconsistent with the configured
-        ``key_fn``). Without one, explicit keys are unrecoverable; and a
-        pre-elastic checkpoint (``explicit_keys_used`` missing, restored as
-        ``None``) cannot *prove* explicit keys were never used, so it is
-        refused too rather than risking silent mis-affinity.
+        ``key_fn``). Without one, explicit keys are unrecoverable.
         """
         if self.key_fn is not None:
             return
@@ -1730,15 +1710,6 @@ class SamplerService:
                 "cannot be recomputed. Construct (or restore) the service "
                 "with a key_fn that derives each item's key, or route on the "
                 "items themselves."
-            )
-        if self._explicit_keys_used is None:
-            raise ValueError(
-                "cannot reshard: this checkpoint predates key-usage "
-                "recording, so it cannot prove explicit keys were never "
-                "used. Restore with a key_fn that derives each item's key; "
-                "or, if the deployment routed on the items themselves, set "
-                "'explicit_keys_used' to false in the snapshot and restore "
-                "again (one more save then records it permanently)."
             )
 
     def reshard(
@@ -1779,9 +1750,8 @@ class SamplerService:
         implements the resharding protocol. Keys are recoverable when a
         ``key_fn`` is configured or items route on themselves; a service
         fed caller-supplied explicit keys without a ``key_fn`` refuses
-        (the keys were never a function of the payload), as does one
-        restored from a pre-elastic checkpoint that cannot prove explicit
-        keys were unused. Mixing explicit keys *with* a ``key_fn`` is
+        (the keys were never a function of the payload). Mixing explicit
+        keys *with* a ``key_fn`` is
         supported under the contract that the explicit keys are a
         precomputed cache of ``key_fn(item)`` — resharding re-routes on
         ``key_fn``, so keys that disagreed with it would already have been
@@ -1923,9 +1893,7 @@ class SamplerService:
             # with a different shard count needs to re-route safely. A
             # service restored from an older checkpoint keeps routing under
             # the version it recorded (until a reshard re-homes it), so the
-            # *instance* version is persisted, not the build's. A
-            # pre-elastic restore's *unknown* (None) is preserved as null,
-            # never laundered into a confident False.
+            # *instance* version is persisted, not the build's.
             "routing_version": self._routing_version,
             "explicit_keys_used": self._explicit_keys_used,
             "time": float(self._time),
@@ -2072,9 +2040,10 @@ class SamplerService:
         :meth:`reshard`\\ s it to ``M`` — every retained item lands on the
         shard its key hashes to under ``M``, with aggregate bookkeeping
         conserved. Snapshots record the routing contract they were built
-        under (``routing_version``); pre-elastic snapshots without the
-        field are migrated as version-1 layouts (version 1 was the only
-        encoding then). Any supported version restores with its exact
+        under (``routing_version``) and whether explicit keys were ever used
+        (``explicit_keys_used``); a snapshot missing either field (the
+        pre-elastic layout) is refused. Any supported version restores with
+        its exact
         per-key hashing preserved — the service keeps routing new arrivals
         under the recorded version so per-key affinity with retained items
         holds — and a spot check verifies that retained items actually
@@ -2087,13 +2056,19 @@ class SamplerService:
                 f"unsupported service state format {version!r}; "
                 f"this build reads version {STATE_FORMAT_VERSION}"
             )
-        # Old-layout snapshots (pre-elastic) carry no routing_version; they
-        # predate version 2, so they migrate as version-1 layouts. Every
-        # version in SUPPORTED_ROUTING_VERSIONS restores exactly (the build
-        # keeps the old per-key hashing alongside the current one); a
+        # Every version in SUPPORTED_ROUTING_VERSIONS restores exactly (the
+        # build keeps the old per-key hashing alongside the current one); a
         # snapshot from an *unknown* encoding cannot: its key→shard map is
         # not reproducible here.
-        routing_version = int(state.get("routing_version", 1))
+        for field in ("routing_version", "explicit_keys_used"):
+            if state.get(field) is None:
+                raise ValueError(
+                    f"service snapshot has no {field!r} field: it predates "
+                    "elastic resharding and is no longer readable; this "
+                    "build reads snapshots that record both "
+                    "'routing_version' and 'explicit_keys_used'"
+                )
+        routing_version = int(state["routing_version"])
         if routing_version not in SUPPORTED_ROUTING_VERSIONS:
             supported = ", ".join(str(v) for v in SUPPORTED_ROUTING_VERSIONS)
             raise ValueError(
@@ -2116,8 +2091,7 @@ class SamplerService:
         service._shard_rngs = [generator_from_state(s) for s in shard_rng_states]
         service._time = float(state["time"])
         service._batches_seen = int(state["batches_seen"])
-        flag = state.get("explicit_keys_used")
-        service._explicit_keys_used = None if flag is None else bool(flag)
+        service._explicit_keys_used = bool(state["explicit_keys_used"])
         service._shards = {
             int(shard_id): Sampler.from_state_dict(sampler_state)
             for shard_id, sampler_state in state["shards"].items()
@@ -2154,11 +2128,10 @@ class SamplerService:
         v2 disagree on almost every string key. Re-route up to
         ``probe_limit`` retained items per shard under the recorded
         version and reject the restore on any mismatch. Skipped when keys
-        are not a function of the payload (explicit keys, or a pre-elastic
-        checkpoint that cannot rule them out): there is nothing to
-        recompute, and :meth:`reshard` already refuses those layouts.
+        are not a function of the payload (explicit keys): there is nothing
+        to recompute, and :meth:`reshard` already refuses those layouts.
         """
-        if self._explicit_keys_used is not False:
+        if self._explicit_keys_used:
             return
         for shard_id in sorted(self._shards):
             items = self._shards[shard_id].sample_items()[:probe_limit]

@@ -119,8 +119,8 @@ _MAGIC = b"REPROWAL"
 #: byte of the framing but made segment creation *eager*: a version-3
 #: directory always holds its complete segment set (commit log plus one log
 #: per shard), so :meth:`WriteAheadLog.attach` treats a missing segment as
-#: damage — in a version-2 directory it could merely mean the lazy creation
-#: never happened, and attach stays lenient there.
+#: damage. Attach refuses commit logs of versions 1 and 2, whose lazy
+#: segment creation makes a missing segment ambiguous.
 WAL_FORMAT_VERSION = 3
 
 _KIND_COMMIT = 0
@@ -781,14 +781,15 @@ class WriteAheadLog:
           commit log was deleted or the copy was partial);
         * a commit log naming a different shard count *and* holding records
           (two deployments' files mixed together);
-        * a version-3 commit log (eager segment creation) with any of its
-          shard segments missing.
+        * a commit log with any of its shard segments missing.
 
-        Benign crash artifacts are normalized, not fatal: an empty commit
-        log under a foreign-layout header — the signature of a crash inside
-        ``reshard``'s log reset — is atomically rewritten for the attaching
-        layout, and version-2 directories (lazy segment creation) keep their
-        lenient missing-segment semantics.
+        A commit log whose header version is below
+        :data:`WAL_FORMAT_VERSION` raises :class:`WALError`: version-2
+        directories created segments lazily, so a missing segment there is
+        ambiguous. Benign crash artifacts are normalized, not fatal: an
+        empty commit log under a foreign-layout header — the signature of a
+        crash inside ``reshard``'s log reset — is atomically rewritten for
+        the attaching layout.
         """
         directory = os.fspath(directory)
         commit_path = os.path.join(directory, _COMMIT_NAME)
@@ -829,6 +830,13 @@ class WriteAheadLog:
         magic, version, kind, logged_shards = _HEADER.unpack_from(commit_head, 0)
         if magic != _MAGIC:
             raise WALError(f"{commit_path}: not a repro WAL file")
+        if version < WAL_FORMAT_VERSION:
+            raise WALError(
+                f"{commit_path}: log format version {version} is older than "
+                f"this build reads ({WAL_FORMAT_VERSION}); version-{version} "
+                "directories created shard segments lazily and are no longer "
+                "readable"
+            )
         if kind != _KIND_COMMIT:
             raise WALLayoutError(
                 f"{commit_path}: header names a shard log, not a commit log; "
@@ -849,19 +857,18 @@ class WriteAheadLog:
             wal = cls(directory, num_shards, fsync=fsync)
             wal.reset_layout(num_shards)
             return wal
-        if version >= 3:
-            missing = sorted(
-                shard_id
-                for shard_id, path in shard_paths.items()
-                if not os.path.exists(path)
+        missing = sorted(
+            shard_id
+            for shard_id, path in shard_paths.items()
+            if not os.path.exists(path)
+        )
+        if missing:
+            raise WALLayoutError(
+                f"{directory}: commit log present but shard segments "
+                f"missing for shards {missing}; version-{version} "
+                "directories hold their full segment set, so these were "
+                "deleted or not copied — restore the full WAL directory"
             )
-            if missing:
-                raise WALLayoutError(
-                    f"{directory}: commit log present but shard segments "
-                    f"missing for shards {missing}; version-{version} "
-                    "directories hold their full segment set, so these were "
-                    "deleted or not copied — restore the full WAL directory"
-                )
         for shard_id, path in sorted(shard_paths.items()):
             if not os.path.exists(path):
                 continue

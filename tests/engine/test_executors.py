@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
 import pytest
 
-from repro.core import RTBS
 from repro.distributed import SimulatedCluster
 from repro.engine import (
     Executor,
@@ -15,7 +13,6 @@ from repro.engine import (
     SerialExecutor,
     ThreadPoolExecutor,
     get_executor,
-    ingest_shard_state,
     map_partitions,
     merge_samples,
     reduce_merge,
@@ -86,11 +83,6 @@ class TestBackends:
         assert executor.stages[-1].description == "stage-24"
         assert executor.stages[0].description == "stage-15"
 
-    def test_ships_state_flags(self):
-        assert not SerialExecutor().ships_state
-        assert not ThreadPoolExecutor().ships_state
-        assert ProcessPoolExecutor().ships_state
-
     def test_module_level_primitives_delegate(self):
         executor = SerialExecutor()
         assert map_partitions(executor, _square, [2, 3]) == [4, 9]
@@ -135,20 +127,6 @@ class TestGetExecutor:
 
 
 class TestShardTasks:
-    def test_ingest_shard_state_round_trips_exactly(self):
-        # Restore -> ingest -> snapshot must equal ingesting in place.
-        reference = RTBS(n=50, lambda_=0.2, rng=0)
-        shipped = RTBS(n=50, lambda_=0.2, rng=0)
-        batches = [np.arange(i * 100, (i + 1) * 100) for i in range(5)]
-        reference.process_stream(batches, times=[1.0, 2.5, 3.0, 4.5, 6.0])
-        state = ingest_shard_state(
-            (shipped.state_dict(), batches, [1.0, 2.5, 3.0, 4.5, 6.0])
-        )
-        restored = RTBS.from_state_dict(state)
-        assert restored.sample_items() == reference.sample_items()
-        assert restored.total_weight == reference.total_weight
-        assert restored.time == reference.time
-
     def test_merge_samples_preserves_partition_order(self):
         assert merge_samples([[1, 2], [], [3], [4, 5]]) == [1, 2, 3, 4, 5]
 
@@ -176,17 +154,21 @@ class TestSimulatedClusterAsExecutor:
         assert serial.stages[-1].duration == threaded.stages[-1].duration
         threaded.shutdown()
 
-    def test_transport_capable_process_backend_is_accepted(self):
-        # The persistent-worker process backend provides a transport, so
-        # distributed algorithms can keep partitions resident; module-level
-        # tasks also run through the generic map path.
+    def test_process_backend_is_rejected(self):
+        # Partition tasks are closures over driver-held reservoir
+        # partitions; they cannot run across a process boundary.
         with ProcessPoolExecutor(2) as backend:
+            with pytest.raises(ValueError, match="in-process backend.*'process'"):
+                SimulatedCluster(num_workers=2, backend=backend)
+            # The rejection leaves the caller's backend untouched and usable.
+            assert backend.map_partitions(_square, [2, 3]) == [4, 9]
+
+    @pytest.mark.parametrize("spec", ["serial", "thread:2"])
+    def test_in_process_backends_are_accepted(self, spec):
+        with get_executor(spec) as backend:
             cluster = SimulatedCluster(num_workers=2, backend=backend)
-            assert cluster.map_partitions(_square, [2, 3]) == [4, 9]
-
-    def test_plain_state_shipping_backend_is_rejected(self):
-        class Shipper(SerialExecutor):
-            ships_state = True
-
-        with pytest.raises(ValueError, match="transport-capable"):
-            SimulatedCluster(num_workers=2, backend=Shipper())
+            assert cluster.backend is backend
+            assert cluster.map_partitions(
+                _square, [2, 3], description="stage", costs=1.0
+            ) == [4, 9]
+            assert cluster.elapsed > 1.0

@@ -17,7 +17,6 @@ from repro.engine import (
     ShardWorkerPool,
     WorkerCrashError,
     restore_sampler,
-    service_ingest_frame,
     service_ingest_routed,
     snapshot_sampler,
 )
@@ -62,12 +61,13 @@ class TestResidentLifecycle:
             reference.process_stream([batch], times=[float(index + 1)])
             pool.apply(
                 0,
-                service_ingest_frame,
-                kwargs={"time": float(index + 1), "num_shards": 1, "service_id": 9},
-                arrays={
-                    "payload": batch,
-                    "shard_ids": np.zeros(len(batch), dtype=np.int64),
+                service_ingest_routed,
+                kwargs={
+                    "time": float(index + 1),
+                    "service_id": 9,
+                    "shard_sizes": [(0, len(batch))],
                 },
+                arrays={"payload": batch},
             )
         mid = RTBS.from_state_dict(pool.snapshot(key, snapshot_sampler))
         assert mid.sample_items() == reference.sample_items()
@@ -76,6 +76,54 @@ class TestResidentLifecycle:
         assert final.sample_items() == reference.sample_items()
         assert final.total_weight == reference.total_weight
         assert key not in pool.resident_keys
+
+    def test_routed_frames_over_several_resident_shards_match_serial(self, pool):
+        """One frame per batch, grouped by shard, feeds every resident shard."""
+        shard_ids = (0, 1, 2)
+        references = {s: RTBS(n=40, lambda_=0.15, rng=s) for s in shard_ids}
+        for shard_id in shard_ids:
+            pool.attach(
+                ("svc", 4, shard_id),
+                restore_sampler,
+                RTBS(n=40, lambda_=0.15, rng=shard_id).state_dict(),
+                worker=0,
+            )
+        for index in range(4):
+            batch = np.arange(index * 90, (index + 1) * 90)
+            parts = [batch[batch % 3 == s] for s in shard_ids]
+            for shard_id, part in zip(shard_ids, parts):
+                references[shard_id].process_stream([part], times=[float(index + 1)])
+            pool.apply(
+                0,
+                service_ingest_routed,
+                kwargs={
+                    "time": float(index + 1),
+                    "service_id": 4,
+                    "shard_sizes": [(s, len(p)) for s, p in zip(shard_ids, parts)],
+                },
+                arrays={"payload": np.concatenate(parts)},
+            )
+        for shard_id in shard_ids:
+            final = RTBS.from_state_dict(
+                pool.detach(("svc", 4, shard_id), snapshot_sampler)
+            )
+            assert final.sample_items() == references[shard_id].sample_items()
+            assert final.total_weight == references[shard_id].total_weight
+
+    def test_routed_ingest_into_a_detached_shard_fails_remotely(self, pool):
+        key = ("svc", 5, 0)
+        pool.attach(key, restore_sampler, RTBS(n=5, lambda_=0.1, rng=0).state_dict(), worker=0)
+        pool.detach(key)
+        with pytest.raises(RemoteTaskError, match="KeyError"):
+            pool.apply(
+                0,
+                service_ingest_routed,
+                kwargs={"time": 1.0, "service_id": 5, "shard_sizes": [(0, 4)]},
+                arrays={"payload": np.arange(4)},
+                sync=True,
+            )
+        # The worker survives the failed frame and keeps serving.
+        assert pool.run_tasks(_square, [6]) == [36]
 
     def test_detach_without_snapshot_discards(self, pool):
         pool.attach("junk", restore_sampler, RTBS(n=5, lambda_=0.1, rng=0).state_dict(), worker=1)
@@ -170,12 +218,9 @@ class TestWorkerCrash:
                 for _ in range(200):
                     pool.apply(
                         0,
-                        service_ingest_frame,
-                        kwargs={"time": 1.0, "num_shards": 1, "service_id": 1},
-                        arrays={
-                            "payload": np.arange(64),
-                            "shard_ids": np.zeros(64, dtype=np.int64),
-                        },
+                        service_ingest_routed,
+                        kwargs={"time": 1.0, "service_id": 1, "shard_sizes": [(0, 64)]},
+                        arrays={"payload": np.arange(64)},
                     )
                     pool.drain()
                     time.sleep(0.01)
@@ -387,6 +432,14 @@ class TestServiceIngestRouted:
                 residents[("svc", 7, shard)].sample_items()
                 == reference[shard].sample_items()
             )
+
+    def test_empty_frame_touches_no_shard(self):
+        resident = RTBS(n=5, lambda_=0.1, rng=0)
+        before = resident.state_dict()
+        counts = service_ingest_routed({("svc", 1, 0): resident}, np.arange(0), 1.0, 1, [])
+        assert counts == {}
+        assert resident.time == before["time"]
+        assert resident.sample_items() == []
 
     def test_profile_reports_ingest_seconds(self):
         residents = {("svc", 1, 0): RTBS(n=5, lambda_=0.1, rng=0)}

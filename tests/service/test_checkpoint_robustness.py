@@ -26,6 +26,7 @@ from repro.service import (
     load_service,
     load_service_delta,
     save_sampler,
+    save_service,
 )
 
 
@@ -149,14 +150,29 @@ class TestManifestVersioning:
         with pytest.raises(CheckpointError, match="newer than this build reads"):
             load_checkpoint(checkpoint_dir)
 
-    def test_versionless_legacy_manifest_still_loads(self, checkpoint_dir):
-        # Checkpoints written before versioning carry no marker; they are
-        # implicitly version 1 and must keep loading.
+    def test_versionless_manifest_is_refused(self, checkpoint_dir):
+        # Manifests written before versioning carry no marker; they are
+        # refused with an error naming the missing field.
         manifest_path = checkpoint_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         del manifest["manifest_version"]
         manifest_path.write_text(json.dumps(manifest))
-        assert load_sampler(checkpoint_dir).batches_seen == 1
+        with pytest.raises(CheckpointError, match="no 'manifest_version' field"):
+            load_sampler(checkpoint_dir)
+
+    def test_versionless_service_manifest_is_refused(self, tmp_path):
+        service = SamplerService(
+            lambda rng: RTBS(n=20, lambda_=0.1, rng=rng), num_shards=2, rng=0
+        )
+        service.ingest_batch(np.arange(100))
+        directory = tmp_path / "svc"
+        save_service(service, directory)
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["manifest_version"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="no 'manifest_version' field"):
+            load_service(directory, lambda rng: RTBS(n=20, lambda_=0.1, rng=rng))
 
 
 @pytest.fixture
@@ -216,6 +232,14 @@ class TestDamagedDeltaCheckpoints:
         manifest["manifest_version"] = 99
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match="newer than this build reads"):
+            load_service_delta(delta_dir)
+
+    def test_versionless_delta_manifest_is_refused(self, delta_dir):
+        manifest_path = delta_dir / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["manifest_version"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="no 'manifest_version' field"):
             load_service_delta(delta_dir)
 
     def test_corrupt_delta_manifest_is_not_a_json_error(self, delta_dir):

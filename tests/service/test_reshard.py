@@ -227,38 +227,42 @@ class TestReshardSemantics:
         with pytest.raises(ValueError, match="explicit keys"):
             load_service(tmp_path / "ckpt", scaled_factory(8), num_shards=8)
 
-    def test_pre_elastic_checkpoints_restore_but_prove_nothing(self):
-        # Old-layout snapshots carry neither routing_version nor the
-        # explicit-keys flag. They restore fine at their stored layout, but
-        # cannot *prove* explicit keys were never used — so a keyless
-        # reshard refuses rather than risking silent mis-affinity, and the
-        # unknown is preserved (never laundered into False) across saves.
+    def test_snapshot_without_explicit_keys_flag_is_refused(self):
+        # Pre-elastic snapshots did not record whether explicit keys were
+        # used; without the flag no reshard can be proven safe.
         service = SamplerService(scaled_factory(4), num_shards=4, rng=3)
         service.ingest(_batches(5))
         state = service.state_dict()
-        del state["routing_version"]
         del state["explicit_keys_used"]
-        restored = SamplerService.from_state_dict(state, scaled_factory(4))
-        assert restored.sample_items() == service.sample_items()
-        with pytest.raises(ValueError, match="predates key-usage recording"):
-            restored.reshard(6, scaled_factory(6))
-        assert restored.state_dict()["explicit_keys_used"] is None
-        with pytest.raises(ValueError, match="predates key-usage recording"):
+        with pytest.raises(ValueError, match="no 'explicit_keys_used' field"):
+            SamplerService.from_state_dict(state, scaled_factory(4))
+
+    @pytest.mark.parametrize("field", ["routing_version", "explicit_keys_used"])
+    def test_snapshot_with_a_null_field_is_refused(self, field):
+        # Earlier builds persisted an unknown flag as null; null is as
+        # unreadable as a missing field, also on a reshard-on-restore.
+        service = SamplerService(scaled_factory(4), num_shards=4, rng=3)
+        service.ingest(_batches(3))
+        state = service.state_dict()
+        state[field] = None
+        with pytest.raises(ValueError, match=f"no '{field}' field"):
             SamplerService.from_state_dict(state, scaled_factory(6), num_shards=6)
 
-    def test_pre_elastic_checkpoints_reshard_with_a_key_fn(self):
-        # A key_fn makes keys recoverable regardless of what the old
-        # deployment did, so the migration path is: restore with key_fn.
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_explicit_keys_flag_restores_as_a_bool(self, explicit):
         service = SamplerService(scaled_factory(4), num_shards=4, rng=3)
-        service.ingest(_batches(5))
+        keys = np.arange(300) % 13 if explicit else None
+        service.ingest_batch(np.arange(300), keys=keys)
         state = service.state_dict()
-        del state["routing_version"]
-        del state["explicit_keys_used"]
-        restored = SamplerService.from_state_dict(
-            state, scaled_factory(6), key_fn=lambda item: item, num_shards=6
-        )
-        assert restored.num_shards == 6
-        _assert_affinity(restored)
+        assert state["explicit_keys_used"] is explicit
+        restored = SamplerService.from_state_dict(state, scaled_factory(4))
+        assert restored.state_dict()["explicit_keys_used"] is explicit
+        if explicit:
+            with pytest.raises(ValueError, match="explicit keys"):
+                restored.reshard(6, scaled_factory(6))
+        else:
+            restored.reshard(6, scaled_factory(6))
+            _assert_affinity(restored)
 
     def test_refused_reshard_leaves_the_service_untouched(self):
         # A failed reshard must not have partially mutated anything — in

@@ -84,16 +84,20 @@ class TestV1Restore:
         assert restored.sample_items() == live.sample_items()
         assert_states_equal(restored.state_dict(), live.state_dict())
 
-    def test_pre_elastic_checkpoint_defaults_to_version_one(self):
+    def test_v1_digest_cache_is_bounded_at_65536_keys(self):
+        # A fixed bound (no environment knob): an all-distinct v1 stream
+        # degrades to one digest per key, never to unbounded memory.
+        from repro.service.routing import _blake2b_bytes_hash
+
+        assert _blake2b_bytes_hash.cache_info().maxsize == 65536
+
+    def test_snapshot_without_routing_version_is_refused(self):
         service = build_service(version=1)
         service.ingest_batch(string_keys(100))
         state = service.state_dict()
-        # Pre-elastic snapshots recorded neither field.
         del state["routing_version"]
-        state["explicit_keys_used"] = None
-
-        restored = SamplerService.from_state_dict(state, rtbs_factory)
-        assert restored.routing_version == 1
+        with pytest.raises(ValueError, match="no 'routing_version' field"):
+            SamplerService.from_state_dict(state, rtbs_factory)
 
     def test_unknown_version_is_rejected(self):
         service = SamplerService(rtbs_factory, num_shards=4, rng=0)

@@ -210,26 +210,6 @@ class TestDrawingFactoryBitIdentity:
             _assert_states_equal(resident.state_dict(), serial.state_dict())
 
 
-class TestPlainStateShippingExecutor:
-    def test_ships_state_backend_without_transport_round_trips_snapshots(self):
-        # The documented extension point: a custom backend that requires
-        # picklable tasks but has no resident transport. Shard state must
-        # round-trip via state_dict snapshots, not silently mutate a copy.
-        class SnapshotShipper(SerialExecutor):
-            name = "shipper"
-            ships_state = True
-
-        batches = _batches(6)
-        serial = SamplerService(rtbs_factory, num_shards=4, rng=29)
-        serial.ingest(batches)
-        shipped = SamplerService(
-            rtbs_factory, num_shards=4, rng=29, executor=SnapshotShipper()
-        )
-        shipped.ingest(batches)
-        assert shipped.sample_items() == serial.sample_items()
-        assert shipped.total_weight == serial.total_weight
-
-
 class TestTransportRoutingModes:
     """Each of the three frame routing modes must match serial routing."""
 

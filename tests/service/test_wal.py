@@ -201,6 +201,30 @@ class TestLifecycle:
         with pytest.raises(WALError, match="3-shard"):
             WriteAheadLog.attach(tmp_path / "wal", num_shards=5)
 
+    def test_attach_refuses_a_version_2_commit_log(self, tmp_path):
+        log = WriteAheadLog.create(tmp_path / "wal", num_shards=2)
+        log.append_batch(0, 1.0, _routed(np.arange(6)), explicit_keys=False)
+        log.close()
+        commit_path = tmp_path / "wal" / "commit.wal"
+        data = bytearray(commit_path.read_bytes())
+        struct.pack_into("<H", data, 8, 2)  # the header's version field
+        commit_path.write_bytes(bytes(data))
+        with pytest.raises(WALError, match="log format version 2 is older"):
+            WriteAheadLog.attach(tmp_path / "wal", num_shards=2)
+
+    def test_attach_refuses_an_empty_version_1_commit_log(self, tmp_path):
+        # The version check precedes the empty-log layout normalization, so
+        # an old directory is refused even before it holds any record.
+        WriteAheadLog.create(tmp_path / "wal", num_shards=2).close()
+        commit_path = tmp_path / "wal" / "commit.wal"
+        data = bytearray(commit_path.read_bytes())
+        struct.pack_into("<H", data, 8, 1)
+        commit_path.write_bytes(bytes(data))
+        with pytest.raises(WALError, match="log format version 1 is older"):
+            WriteAheadLog.attach(tmp_path / "wal", num_shards=3)
+        # Nothing was rewritten on the way to the refusal.
+        assert commit_path.read_bytes() == bytes(data)
+
     def test_truncate_drops_records_at_or_below_watermark(self, wal):
         for seq in range(5):
             wal.append_batch(seq, float(seq + 1), _routed(np.arange(20)), explicit_keys=False)
