@@ -534,9 +534,9 @@ class StateDictRule(Rule):
 class PureReadRule(Rule):
     id = "pure-read"
     description = (
-        "methods documented as pure reads (stats, sample_items, shard, "
-        "shard_samples, snapshot, snapshot_view) must not drain the "
-        "pipeline, create shards, or draw randomness"
+        "methods documented as pure reads (active_shards, stats, "
+        "sample_items, shard, shard_samples, snapshot, snapshot_view) must "
+        "not drain the pipeline, create shards, or draw randomness"
     )
     _HINT = (
         "pure reads serve monitoring and snapshot capture: read from a "
@@ -549,6 +549,7 @@ class PureReadRule(Rule):
     #: a class in the deterministic packages.
     _PURE_METHODS = frozenset(
         {
+            "active_shards",
             "stats",
             "sample_items",
             "shard",

@@ -78,10 +78,10 @@ def service_ingest_routed(
     walks the slices. Sub-batch contents and ingestion order are exactly
     those of the serial path, so trajectories stay bit-identical.
 
-    Returns ``{shard_id: item_count}`` (the driver tracks shard activation
-    from the counts without blocking the pipeline); with ``profile=True``
-    the per-frame ingest wall time rides along for the service's
-    phase-breakdown hook.
+    Returns ``{shard_id: item_count}``; with ``profile=True`` the
+    per-frame ingest wall time rides along for the service's
+    phase-breakdown hook. (The driver already knows the counts from its
+    routing result, so it reads acknowledgements only for that timing.)
     """
     begin = perf_counter() if profile else 0.0
     counts: dict[int, int] = {}
@@ -113,11 +113,9 @@ def service_snapshot_views(
     single consistent service-wide cut, with no ``drain()`` barrier and with
     later batches free to queue up behind the marker.
 
-    All resident shards of the service are enumerated worker-side (not just
-    the ones the driver has seen acks for), so shards activated by still
-    unacknowledged batches are part of the cut. Shards that have ingested
-    nothing yet (pristine standbys) are skipped — they hold no sampled data
-    and are not part of the service's active set.
+    All resident shards of the service are enumerated worker-side. The
+    driver attaches a shard when it dispatches the first batch that reaches
+    it, so the resident shards are exactly the service's active set.
 
     Returns ``{shard_id: view}``; views are pure data (read-only arrays or
     tuples plus scalars) and cross the ack pipe without referencing live
@@ -128,15 +126,12 @@ def service_snapshot_views(
         for key in residents
         if isinstance(key, tuple) and key[:2] == ("svc", service_id)
     )
-    views: dict[int, SamplerSnapshotView] = {}
-    for shard_id in owned:
-        sampler = residents[("svc", service_id, shard_id)]
-        if sampler.batches_seen == 0:
-            continue
-        views[int(shard_id)] = sampler.snapshot_view(
+    return {
+        int(shard_id): residents[("svc", service_id, shard_id)].snapshot_view(
             include_items=include_items, include_state=include_state
         )
-    return views
+        for shard_id in owned
+    }
 
 
 def merge_samples(samples: Iterable[Sequence[Any]]) -> list[Any]:

@@ -160,20 +160,21 @@ class ShardReplicaSet:
     def capture(
         cls, service: "SamplerService", wal: "WriteAheadLog", applied_seq: int
     ) -> "ShardReplicaSet":
-        """Build a standby mirroring ``service``'s current (synced) state.
+        """Build a standby mirroring ``service``'s current state.
 
-        The caller must have synced the service first (``_sync()``), so the
-        driver-side samplers are authoritative. Active shards are cloned
-        through the ``state_dict()`` round trip; shards with no data yet
-        contribute only their pristine reserved-stream state (see the RNG
-        reconciliation rule in the module docstring).
+        The service's driver-side samplers must be authoritative: on the
+        transport backend the caller first adopts a state-bearing cut
+        (``_refresh_driver_cut()``) or has detached the pool. Active shards
+        are cloned through the ``state_dict()`` round trip; shards with no
+        data yet contribute only their pristine reserved-stream state (see
+        the RNG reconciliation rule in the module docstring).
         """
         replica = cls(
             service._factory, service.num_shards, wal, applied_seq=applied_seq
         )
         for shard_id in range(service.num_shards):
-            if shard_id in service._activated:
-                source = service._shards[shard_id]
+            source = service._shards.get(shard_id)
+            if source is not None:
                 clone = Sampler.from_state_dict(source.state_dict())
                 replica.samplers[shard_id] = clone
                 source_rng = getattr(source, "_rng", None)

@@ -38,9 +38,13 @@ Shard ingestion fans out through a pluggable :mod:`repro.engine` executor:
   worker processes — their state crosses the boundary once on attach and
   again only on checkpoint/read/close — while each arriving batch is
   hashed and shard-bucketed once driver-side
-  (:func:`~repro.service.routing.route_batch`) and each worker's items
+  (:func:`~repro.service.routing.shard_ids_for_keys`, then
+  :func:`~repro.service.routing.split_order`) and each worker's items
   are scattered straight into its double-buffered shared-memory ring
-  (no intermediate per-shard copies). Ingestion is pipelined: ``ingest``
+  (no intermediate per-shard copies). A shard becomes resident when the
+  first batch that reaches it is dispatched: the driver builds it with
+  the factory, exactly as the serial path would, and attaches it ahead of
+  its items. Ingestion is pipelined: ``ingest``
   returns once the frames are enqueued — routing of batch *k+1* overlaps
   worker ingest of batch *k*. A dead worker raises
   :class:`~repro.engine.errors.WorkerCrashError` naming the worker.
@@ -349,26 +353,9 @@ class SamplerService:
         #: workers. Invalidated on reshard and failover; ordinary ingest
         #: just ages it past its staleness bound.
         self._snapshot_cache: ServiceSnapshot | None = None
-        #: Shards that have received at least one item (mirrors the keys of
-        #: ``_shards`` on in-process backends; fed by worker acknowledgements
-        #: on the transport backend).
-        self._activated: set[int] = set(self._shards)
-        #: Resident shards ingested since their last driver-side snapshot.
-        self._dirty: set[int] = set()
-        #: Whether shard k's sampler shares its RNG object with
-        #: ``_shard_rngs[k]`` (the usual factory pattern); governs whether a
-        #: sync refreshes the reserved stream, matching serial bookkeeping.
-        self._retained_rng: dict[int, bool] = {}
-        #: Pristine snapshots of factory-built samplers for shards that have
-        #: not seen data yet, so a close/reopen cycle never re-invokes the
-        #: factory (serial calls it exactly once per shard).
-        self._standby_states: dict[int, dict[str, Any]] = {}
-        #: The generator handed to the factory for each not-yet-activated
-        #: shard. Promoted into ``_shard_rngs`` only when the shard first
-        #: receives items — the moment the lazily-creating serial path would
-        #: have invoked the factory — so the reserved streams of shards that
-        #: never see data stay pristine in checkpoints, exactly as serial.
-        self._standby_rngs: dict[int, np.random.Generator] = {}
+        #: Whether every shard in ``_shards`` is resident in the worker pool
+        #: (transport backend only). While it is, the worker copies are
+        #: authoritative and the driver's are as of their last adoption.
         self._transport_attached = False
         #: The write-ahead log, when durability is enabled (``wal_dir=`` at
         #: construction, or attached by ``recover_service``).
@@ -376,9 +363,8 @@ class SamplerService:
         #: Global sequence number of the last batch covered by the paired
         #: delta checkpoint; everything after it lives only in the WAL.
         self._wal_watermark: int = -1
-        #: Shards ingested since the last delta checkpoint. Distinct from
-        #: ``_dirty``, which tracks transport-sync staleness and is cleared
-        #: by every read; this set is cleared only by :meth:`checkpoint`.
+        #: Shards ingested since the last delta checkpoint; cleared only by
+        #: :meth:`checkpoint`.
         self._ckpt_dirty: set[int] = set()
         #: Warm-standby replication state (config + replica + failure
         #: detector), or ``None`` when replication is off.
@@ -420,8 +406,8 @@ class SamplerService:
     @property
     def active_shards(self) -> list[int]:
         """Ids of shards that have received at least one item, ascending."""
-        self._sync()
-        return sorted(self._activated)
+        with self._lock:
+            return sorted(self._shards)
 
     def shard(self, shard_id: int) -> Sampler:
         """The sampler behind one *active* shard — a pure read.
@@ -439,34 +425,23 @@ class SamplerService:
                 f"shard id {shard_id} out of range for {self.num_shards} shards"
             )
         with self._lock:
+            if shard_id not in self._shards:
+                raise KeyError(
+                    f"shard {shard_id} has no sampler yet (no items routed to it); "
+                    f"active shards: {sorted(self._shards)}"
+                )
             if self._transport_attached:
                 try:
-                    state = self._executor.transport.snapshot(
-                        self._shard_key(shard_id), snapshot_sampler
+                    return Sampler.from_state_dict(
+                        self._executor.transport.snapshot(
+                            self._shard_key(shard_id), snapshot_sampler
+                        )
                     )
                 except WorkerCrashError as error:
                     if self._replication is None:
                         raise
                     self._failover(error)
-                else:
-                    sampler = Sampler.from_state_dict(state)
-                    if sampler.batches_seen == 0:
-                        # A pristine standby resident: attached so the next
-                        # batch may route to it, but it holds no data and is
-                        # not part of the active set.
-                        raise KeyError(
-                            f"shard {shard_id} has no sampler yet (no items "
-                            f"routed to it); active shards: "
-                            f"{sorted(self._activated)}"
-                        )
-                    return sampler
-            try:
-                return self._shards[shard_id]
-            except KeyError:
-                raise KeyError(
-                    f"shard {shard_id} has no sampler yet (no items routed to it); "
-                    f"active shards: {sorted(self._activated)}"
-                ) from None
+            return self._shards[shard_id]
 
     def _get_or_create_shard(self, shard_id: int) -> Sampler:
         """The sampler behind one shard, created lazily on first arrival."""
@@ -479,7 +454,6 @@ class SamplerService:
                     f"got {type(sampler).__name__}"
                 )
             self._shards[shard_id] = sampler
-            self._activated.add(shard_id)
         return sampler
 
     def snapshot(
@@ -553,7 +527,7 @@ class SamplerService:
                         include_items=include_items,
                         include_state=include_state,
                     )
-                    for shard_id in sorted(self._activated)
+                    for shard_id in sorted(self._shards)
                 }
             cut = ServiceSnapshot(
                 watermark=self._batches_seen - 1,
@@ -758,21 +732,22 @@ class SamplerService:
                 if routed_frame is None:
                     self._replication_tick()
                     return {}
-                counts: dict[int, int] = {}
-                self._dispatch_routed_safely(
-                    batch, routed_frame, time, counts_sink=counts
-                )
+                self._dispatch_routed_safely(batch, routed_frame, time)
                 begin = perf_counter() if self._profile_enabled else 0.0
                 self._drain_transport_safely()
                 if self._profile_enabled:
                     self._note_phase("ack", perf_counter() - begin)
                 self._replication_tick()
-                return dict(sorted(counts.items()))
+                frame_counts = routed_frame.counts
+                return {
+                    int(shard_id): int(frame_counts[shard_id])
+                    for shard_id in np.flatnonzero(frame_counts)
+                }
             routed = self._route(batch, keys)
             time = self._advance_time(time)
             self._wal_log(routed, time)
             pending: dict[int, tuple[list[Any], list[float]]] = {}
-            counts = {}
+            counts: dict[int, int] = {}
             for shard_id, sub_batch in routed:
                 pending[shard_id] = ([sub_batch], [time])
                 counts[shard_id] = len(sub_batch)
@@ -1060,8 +1035,7 @@ class SamplerService:
                 )
             directory = self._wal.checkpoint_dir
         with self._lock:
-            cut = self.snapshot(include_items=False, include_state=True)
-            self._refresh_driver_cut(cut)
+            cut = self._refresh_driver_cut()
             shard_states = {
                 shard_id: cut.views[shard_id].state
                 for shard_id in sorted(cut.views)
@@ -1132,74 +1106,16 @@ class SamplerService:
     def _shard_key(self, shard_id: int) -> tuple:
         return ("svc", self._service_id, shard_id)
 
-    def _attach_all_shards(self) -> None:
-        """Make every shard's sampler resident in the worker pool.
-
-        Existing shards ship their current snapshots; shards with no data
-        yet are built by the factory now (any shard may receive items the
-        moment the next batch is routed) — but they only count as
-        *active*, and only appear in checkpoints, once a worker reports
-        items for them. The factory receives a generator carrying shard
-        ``k``'s reserved stream state, exactly as the lazily-creating serial
-        path would hand it.
-        """
-        pool = self._executor.transport
-        for shard_id in range(self.num_shards):
-            sampler = self._shards.get(shard_id)
-            if sampler is not None:
-                self._retained_rng[shard_id] = (
-                    getattr(sampler, "_rng", None) is self._shard_rngs[shard_id]
-                )
-                state = sampler.state_dict()
-            elif shard_id in self._standby_states:
-                state = self._standby_states[shard_id]
-            else:
-                clone = generator_from_state(
-                    generator_state(self._shard_rngs[shard_id])
-                )
-                sampler = self._factory(clone)
-                if not isinstance(sampler, Sampler):
-                    raise TypeError(
-                        "sampler_factory must return a repro.core.base.Sampler, "
-                        f"got {type(sampler).__name__}"
-                    )
-                # The clone (including any construction-time draws) becomes
-                # the shard's reserved stream only on activation — see
-                # ``_standby_rngs``.
-                self._standby_rngs[shard_id] = clone
-                self._retained_rng[shard_id] = getattr(sampler, "_rng", None) is clone
-                state = sampler.state_dict()
-                self._standby_states[shard_id] = state
-            pool.attach(
-                self._shard_key(shard_id),
-                restore_sampler,
-                state,
-                worker=shard_id % pool.num_workers,
-            )
-        self._transport_attached = True
-
-    def _note_counts(self, counts: dict[int, int]) -> None:
-        """Acknowledgement callback: record which shards received items."""
-        for shard_id in counts:
-            shard_id = int(shard_id)
-            self._activated.add(shard_id)
-            self._dirty.add(shard_id)
-            self._ckpt_dirty.add(shard_id)
-            self._standby_states.pop(shard_id, None)
-            standby_rng = self._standby_rngs.pop(shard_id, None)
-            if standby_rng is not None:
-                # First arrival: adopt the factory's construction-time draws
-                # into the reserved stream, as serial's lazy creation would.
-                self._shard_rngs[shard_id] = standby_rng
-
     def _dispatch_routed(
-        self,
-        batch: np.ndarray,
-        routed_batch: RoutedBatch,
-        time: float,
-        counts_sink: dict[int, int] | None = None,
+        self, batch: np.ndarray, routed_batch: RoutedBatch, time: float
     ) -> None:
         """Scatter one routed batch into per-worker ring frames (pipelined).
+
+        Shards become resident the way serial creates them. On (re)attach
+        every active shard ships its driver state; a shard this batch
+        reaches for the first time is built now by the same
+        :meth:`_get_or_create_shard` call serial uses, on its reserved
+        stream, and attached ahead of its items in its worker's FIFO.
 
         Each worker receives exactly its shards' items, gathered straight
         from the batch into its double-buffered shared-memory ring by the
@@ -1209,26 +1125,26 @@ class SamplerService:
         Sub-batch contents and within-shard order match the serial path
         exactly, so trajectories stay bit-identical.
         """
-        if not self._transport_attached:
-            self._attach_all_shards()
         pool = self._executor.transport
         profile = self._profile_enabled
         order = routed_batch.order
         counts = routed_batch.counts
         offsets = routed_batch.offsets
+        reached = [int(shard_id) for shard_id in np.flatnonzero(counts)]
+        self._ckpt_dirty.update(reached)
+        attach = [] if self._transport_attached else sorted(self._shards)
+        attach += [shard_id for shard_id in reached if shard_id not in self._shards]
+        for shard_id in attach:
+            pool.attach(
+                self._shard_key(shard_id),
+                restore_sampler,
+                self._get_or_create_shard(shard_id).state_dict(),
+                worker=shard_id % pool.num_workers,
+            )
+        self._transport_attached = True
 
         def on_result(result: Any) -> None:
-            if profile:
-                counts_by_shard, seconds = result
-                self._note_phase("worker_ingest", seconds)
-            else:
-                counts_by_shard = result
-            self._note_counts(counts_by_shard)
-            if counts_sink is not None:
-                counts_sink.update(
-                    (int(shard_id), int(count))
-                    for shard_id, count in counts_by_shard.items()
-                )
+            self._note_phase("worker_ingest", result[1])
 
         begin = perf_counter() if profile else 0.0
         # With a WAL, every command of this batch is tagged with the batch's
@@ -1269,7 +1185,7 @@ class SamplerService:
                     "profile": profile,
                 },
                 scatters={"payload": (batch, permutation)},
-                on_result=on_result,
+                on_result=on_result if profile else None,
                 tag=tag,
             )
         if profile:
@@ -1285,10 +1201,9 @@ class SamplerService:
         collects the per-worker view dicts. The collect waits only for the
         marker acknowledgements — batch acks en route are processed as
         ordinary ack-side frames — so the pipeline is never drained and
-        commands enqueued after the markers stay in flight. Workers
-        enumerate *all* their resident shards of this service (skipping
-        pristine standbys), so shards activated by still-unacknowledged
-        batches are part of the cut.
+        commands enqueued after the markers stay in flight. The resident
+        shards of this service are exactly its active ones, so the cut
+        covers the same shards as :attr:`active_shards`.
         """
         pool = self._executor.transport
         try:
@@ -1314,73 +1229,42 @@ class SamplerService:
                 shard_id: self._shards[shard_id].snapshot_view(
                     include_items=include_items, include_state=include_state
                 )
-                for shard_id in sorted(self._activated)
+                for shard_id in sorted(self._shards)
             }
         return {shard_id: views[shard_id] for shard_id in sorted(views)}
 
-    def _refresh_driver_cut(self, cut: ServiceSnapshot) -> None:
-        """Adopt a state-bearing cut as the driver's authoritative shard state.
+    def _refresh_driver_cut(self) -> ServiceSnapshot:
+        """Take a state-bearing cut and adopt it as the driver's shard state.
 
-        The transport-backend replacement for the post-``drain()`` half of
-        :meth:`_sync`: every view's ``state_dict()`` is restored driver-side
-        and the reserved RNG streams re-aliased exactly as a drained sync
-        would, but the states come from the snapshot cut — no barrier. Must
-        be called under the service lock with a cut taken at the current
-        watermark (no writes can have interleaved); in-process backends are
-        a no-op because the driver's samplers are already authoritative.
+        On the transport backend every view's ``state_dict()`` is adopted
+        driver-side (:meth:`_adopt`) — no drain barrier. Must be called
+        under the service lock: collecting the markers processed every
+        earlier acknowledgement and the lock keeps new dispatch out, so the
+        cut covers everything in flight and the driver copies are exact.
+        In-process backends' samplers are already authoritative.
         """
-        if not self._transport_attached:
-            return
-        for shard_id in sorted(cut.views):
-            state = cut.views[shard_id].state
-            if state is None:
-                raise ValueError(
-                    "driver refresh needs a state-bearing cut; take the "
-                    "snapshot with include_state=True"
-                )
-            sampler = Sampler.from_state_dict(state)
-            self._shards[shard_id] = sampler
-            if self._retained_rng.get(shard_id):
-                self._shard_rngs[shard_id] = sampler._rng
-        # Collecting the markers processed every earlier acknowledgement,
-        # and the lock kept new dispatch out, so the cut covers everything
-        # in flight: the driver copies are exact.
-        self._dirty.clear()
+        cut = self.snapshot(include_items=False, include_state=True)
+        if self._transport_attached:
+            for shard_id in sorted(cut.views):
+                state = cut.views[shard_id].state
+                assert state is not None  # the cut was taken with its states
+                self._adopt(shard_id, state)
+        return cut
 
-    def _sync(self) -> None:
-        """Pull authoritative resident shard state back to the driver.
+    def _adopt(self, shard_id: int, state: dict[str, Any]) -> None:
+        """Replace the driver's copy of one resident shard with its worker state.
 
-        Drains the pipeline (delivering activation acknowledgements), then
-        snapshots every shard ingested since its last sync. In-process
-        backends mutate the driver's samplers directly, so this is a no-op
-        for them. Reads never call this — they take snapshot cuts
-        (:meth:`snapshot`); the drain barrier remains for lifecycle
-        operations (detach, reshard, ``state_dict``) that need the pool
-        quiesced, not just observed.
+        When the stale driver copy shares its generator with the shard's
+        reserved stream (the usual factory pattern: the sampler keeps the
+        RNG it was handed), the reserved stream is re-aliased to the adopted
+        sampler's generator, so it goes on advancing as the sampler draws —
+        the bookkeeping the serial path gets for free.
         """
-        with self._lock:
-            if not self._transport_attached:
-                return
-            pool = self._executor.transport
-            try:
-                pool.drain()
-                for shard_id in sorted(self._dirty):
-                    snapshot = pool.snapshot(
-                        self._shard_key(shard_id), snapshot_sampler
-                    )
-                    sampler = Sampler.from_state_dict(snapshot)
-                    self._shards[shard_id] = sampler
-                    if self._retained_rng.get(shard_id):
-                        self._shard_rngs[shard_id] = sampler._rng
-            except WorkerCrashError as error:
-                # A read found the pool dead. With a standby, promote: the
-                # replayed log tail covers everything the crashed workers
-                # held, so the read completes on the promoted samplers.
-                if self._replication is None:
-                    raise
-                self._failover(error)
-                return
-            self._dirty.clear()
+        sampler = Sampler.from_state_dict(state)
+        stale = self._shards[shard_id]
+        if getattr(stale, "_rng", None) is self._shard_rngs[shard_id]:
+            self._shard_rngs[shard_id] = sampler._rng
+        self._shards[shard_id] = sampler
 
     # ------------------------------------------------------------------
     # warm-standby replication & supervised failover
@@ -1403,8 +1287,7 @@ class SamplerService:
         # The standby is captured from the same committed-watermark cut the
         # checkpoint path serializes: a state-bearing snapshot refreshed
         # into the driver, not a drain barrier.
-        cut = self.snapshot(include_items=False, include_state=True)
-        self._refresh_driver_cut(cut)
+        cut = self._refresh_driver_cut()
         replica = ShardReplicaSet.capture(self, self._wal, cut.watermark)
         self._replication = ReplicationRuntime(
             config=config,
@@ -1456,33 +1339,20 @@ class SamplerService:
         )
 
     def _dispatch_routed_safely(
-        self,
-        batch: np.ndarray,
-        routed_batch: RoutedBatch,
-        time: float,
-        counts_sink: dict[int, int] | None = None,
+        self, batch: np.ndarray, routed_batch: RoutedBatch, time: float
     ) -> None:
         """Dispatch one routed batch, failing over on a worker crash.
 
         The batch was WAL-committed before this call, so when the pool dies
         mid-dispatch the promotion's log replay delivers it to the standby —
-        the dispatch is simply abandoned, and the per-shard counts come
-        from the routing result instead of worker acknowledgements.
+        the dispatch is simply abandoned.
         """
         try:
-            self._dispatch_routed(batch, routed_batch, time, counts_sink=counts_sink)
+            self._dispatch_routed(batch, routed_batch, time)
         except WorkerCrashError as error:
             if self._replication is None:
                 raise
             self._failover(error)
-            if counts_sink is not None:
-                counts = routed_batch.counts
-                counts_sink.clear()
-                counts_sink.update(
-                    (shard_id, int(counts[shard_id]))
-                    for shard_id in range(self.num_shards)
-                    if counts[shard_id]
-                )
 
     def _drain_transport_safely(self) -> None:
         """Drain the pipeline, failing over instead of raising when possible."""
@@ -1530,10 +1400,6 @@ class SamplerService:
         # usable: the next dispatch lazily respawns a fresh pool and
         # re-attaches the promoted shards.
         self._transport_attached = False
-        self._dirty.clear()
-        self._retained_rng = {}
-        self._standby_states = {}
-        self._standby_rngs = {}
         # Cached cuts may reference the condemned pool's shard states.
         self._snapshot_cache = None
         self._executor.shutdown()
@@ -1543,13 +1409,12 @@ class SamplerService:
         rt.replica.catch_up(committed)
         samplers, rngs = rt.replica.promote()
         self._shards = samplers
-        self._activated = set(samplers)
         for shard_id in sorted(rngs):
             self._shard_rngs[shard_id] = rngs[shard_id]
         # Every promoted shard must land in the next delta checkpoint: the
         # paired checkpoint's shard files describe the pre-failover sync
         # points, and only dirty shards are rewritten.
-        self._ckpt_dirty.update(self._activated)
+        self._ckpt_dirty.update(samplers)
         rt.failovers += 1
         rt.events.append(
             f"failover {rt.failovers} at batch {committed}: "
@@ -1793,7 +1658,7 @@ class SamplerService:
                 self._failover(error)
         # Bring every active shard to the service clock so the split sees
         # fully decayed bookkeeping (idle shards decay by their whole gap).
-        for shard_id in sorted(self._activated):
+        for shard_id in sorted(self._shards):
             sampler = self._shards[shard_id]
             if sampler.time < self._time:
                 sampler.process_batch([], time=self._time)
@@ -1819,7 +1684,7 @@ class SamplerService:
             )
 
         new_shards = reshard_samplers(
-            {shard_id: self._shards[shard_id] for shard_id in sorted(self._activated)},
+            dict(sorted(self._shards.items())),
             destinations_for,
             make_sampler,
             new_count,
@@ -1829,11 +1694,6 @@ class SamplerService:
         self._routing_version = int(ROUTING_VERSION)
         self._shard_rngs = new_rngs
         self._shards = new_shards
-        self._activated = set(new_shards)
-        self._dirty = set()
-        self._retained_rng = {}
-        self._standby_states = {}
-        self._standby_rngs = {}
         # Cached cuts describe the old layout (shard ids, num_shards).
         self._snapshot_cache = None
         if self._wal is not None:
@@ -1863,17 +1723,19 @@ class SamplerService:
         shards that have *not* been created yet still get the exact stream
         they would have received), and one sampler snapshot per active
         shard. Contains only plain containers and NumPy arrays. On the
-        transport backend the pipeline is drained and resident shard state
-        pulled back first, so a checkpoint taken mid-stream is exact and
+        transport backend resident shard state is pulled back from a
+        committed-watermark cut first (as :meth:`checkpoint` does, without
+        draining the pipeline), so a snapshot taken mid-stream is exact and
         bit-identical to the serial backend's.
         """
         with self._lock:
-            self._sync()
+            if self._transport_attached:
+                self._refresh_driver_cut()
             return {
                 **self._scalar_state(),
                 "shards": {
                     str(shard_id): self._shards[shard_id].state_dict()
-                    for shard_id in sorted(self._activated)
+                    for shard_id in sorted(self._shards)
                 },
             }
 
@@ -1882,7 +1744,8 @@ class SamplerService:
 
         Delta checkpoints persist this part on every save (it is tiny) and
         the per-shard sampler snapshots separately, rewriting only dirty
-        ones. Callers must :meth:`_sync` first — this is a pure read.
+        ones. On the transport backend callers must refresh the driver from a
+        state cut first (:meth:`_refresh_driver_cut`) — this is a pure read.
         """
         return {
             "format_version": STATE_FORMAT_VERSION,
@@ -1913,17 +1776,10 @@ class SamplerService:
         """
         pool = self._executor.transport
         pool.drain()
-        for shard_id in range(self.num_shards):
-            key = self._shard_key(shard_id)
-            if shard_id in self._activated:
-                snapshot = pool.detach(key, snapshot_sampler)
-                sampler = Sampler.from_state_dict(snapshot)
-                self._shards[shard_id] = sampler
-                if self._retained_rng.get(shard_id):
-                    self._shard_rngs[shard_id] = sampler._rng
-            else:
-                pool.detach(key, None)
-        self._dirty.clear()
+        for shard_id in sorted(self._shards):
+            self._adopt(
+                shard_id, pool.detach(self._shard_key(shard_id), snapshot_sampler)
+            )
         self._transport_attached = False
 
     def close(self) -> None:
@@ -1997,10 +1853,6 @@ class SamplerService:
                     # propagating — that one names the actionable problem.
                     if failure is None:
                         raise
-
-    def shutdown(self) -> None:
-        """Alias of :meth:`close` (kept for backward compatibility)."""
-        self.close()
 
     def __enter__(self) -> "SamplerService":
         return self

@@ -2,6 +2,11 @@
 
 
 class LeakyService:
+    @property
+    def active_shards(self):
+        self._sync()
+        return sorted(self._shards)
+
     def stats(self):
         self._executor.transport.drain()
         return {"batches_seen": self._batches_seen}

@@ -89,6 +89,7 @@ class TestSeededViolations:
         assert any("stats()" in m and "drain()" in m for m in messages)
         assert any("_get_or_create_shard" in m for m in messages)
         assert any("shard_samples()" in m and "_sync()" in m for m in messages)
+        assert any("active_shards()" in m and "_sync()" in m for m in messages)
         assert any("draws randomness" in m and "snapshot()" in m for m in messages)
         assert all("consistent cut" in f.hint for f in report.findings)
 

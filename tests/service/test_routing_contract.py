@@ -1,10 +1,11 @@
 """Routing-contract agreement suite: vectorized routing vs per-key ``stable_hash``.
 
-The worker-side router hashes whole key arrays; the driver (and the scalar
-fallback) hashes key by key. The module contract is that both paths agree
-*key for key* for every representable key type — if they ever drift, the
-driver's activation bookkeeping and the workers' actual routing silently
-disagree. This suite pins the contract over every key family the canonical
+The vectorized router (``shard_ids_for_keys``) hashes whole key arrays;
+its fallback for keys with no array encoding hashes key by key through
+``stable_hash``. The module contract is that both paths agree *key for
+key* for every representable key type — if they ever drift, one key routes
+to different shards depending on which batch carried it, and per-key
+affinity silently breaks. This suite pins the contract over every key family the canonical
 encoding spec names, over power-of-two and non-power-of-two shard counts,
 plus regression tests for the trailing-NUL truncation bug (fixed-width
 ``S``/``U`` dtypes cannot represent trailing NULs, so the vectorized path

@@ -84,7 +84,7 @@ class TestBackendEquivalence:
         service = SamplerService(rtbs_factory, num_shards=2, rng=0, executor="thread:2")
         service.ingest_batch(np.arange(100))
         assert len(service.sample_items()) > 0
-        service.shutdown()
+        service.close()
 
     def test_invalid_executor_spec_is_rejected(self):
         with pytest.raises(ValueError, match="unknown executor backend"):
@@ -193,9 +193,8 @@ def _drawing_factory(rng):
 class TestDrawingFactoryBitIdentity:
     def test_idle_shard_reserved_streams_stay_pristine(self):
         # All items share one routing key, so exactly one shard activates.
-        # Serial never invokes the factory for the idle shards; the
-        # transport builds them eagerly (routing is worker-side) but must
-        # not let those construction draws leak into the reserved streams.
+        # Neither backend invokes the factory for the idle shards, so their
+        # reserved streams carry no construction draws in either checkpoint.
         batches = [np.full(50, 7) for _ in range(4)]
         serial = SamplerService(_drawing_factory, num_shards=4, rng=19)
         for index, batch in enumerate(batches):
@@ -208,6 +207,38 @@ class TestDrawingFactoryBitIdentity:
             assert resident.active_shards == serial.active_shards
             assert len(resident.active_shards) == 1
             _assert_states_equal(resident.state_dict(), serial.state_dict())
+
+
+class TestShardActivationMatchesSerial:
+    """The transport creates a shard exactly when serial does: on first arrival."""
+
+    @staticmethod
+    def _run(executor):
+        calls = []
+
+        def counting_factory(rng):
+            calls.append(1)
+            return rtbs_factory(rng)
+
+        service = SamplerService(
+            counting_factory, num_shards=8, rng=3, executor=executor
+        )
+        try:
+            service.ingest_batch(np.full(20, 7), time=1.0)
+            service.close()
+            service.ingest_batch(np.full(20, 11), time=2.0)
+            return len(calls), service.active_shards, service.state_dict()
+        finally:
+            service.close()
+
+    def test_factory_calls_and_active_shards_match_serial_across_close(self):
+        serial_calls, serial_active, serial_state = self._run("serial")
+        process_calls, process_active, process_state = self._run("process:2")
+        assert serial_calls == 2
+        assert serial_active == [5, 7]
+        assert process_calls == serial_calls
+        assert process_active == serial_active
+        _assert_states_equal(process_state, serial_state)
 
 
 class TestTransportRoutingModes:
