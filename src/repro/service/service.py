@@ -371,8 +371,10 @@ class SamplerService:
         self._replication: ReplicationRuntime | None = None
         #: Opt-in phase-breakdown profiling (``REPRO_SERVICE_PROFILE=1``):
         #: wall time accumulated per ingest phase (hash/split/wal/dispatch/
-        #: worker_ingest/ack), reported by :meth:`stats`. ``perf_counter``
-        #: deltas only — never part of the statistical trajectory.
+        #: worker_ingest), plus ``ack``: the time the driver waits for the
+        #: workers (cut collect, flush, detach drain), reported by
+        #: :meth:`stats`. ``perf_counter`` deltas only — never part of the
+        #: statistical trajectory.
         self._profile_enabled = os.environ.get(
             "REPRO_SERVICE_PROFILE", ""
         ) not in ("", "0")
@@ -722,6 +724,12 @@ class SamplerService:
         Routing is validated *before* the service clock advances: a batch
         rejected for bad keys leaves the clock untouched, so the corrected
         call can be retried with the same arrival time.
+
+        On the transport (process) backend the call returns once the batch
+        is enqueued to the workers; the counts come from the routing
+        result, and every later read is a cut taken behind the batch. As
+        with :meth:`ingest`, a worker crash surfaces at the next call or
+        read (or :meth:`flush`).
         """
         batch = as_item_array(items)
         with self._lock:
@@ -733,10 +741,6 @@ class SamplerService:
                     self._replication_tick()
                     return {}
                 self._dispatch_routed_safely(batch, routed_frame, time)
-                begin = perf_counter() if self._profile_enabled else 0.0
-                self._drain_transport_safely()
-                if self._profile_enabled:
-                    self._note_phase("ack", perf_counter() - begin)
                 self._replication_tick()
                 frame_counts = routed_frame.counts
                 return {
@@ -930,7 +934,10 @@ class SamplerService:
         """
         with self._lock:
             if self._executor.provides_transport and self._transport_attached:
+                begin = perf_counter() if self._profile_enabled else 0.0
                 self._drain_transport_safely()
+                if self._profile_enabled:
+                    self._note_phase("ack", perf_counter() - begin)
             if self._wal is not None:
                 self._wal.flush()
 
@@ -1216,8 +1223,11 @@ class SamplerService:
                 },
             )
             views: dict[int, SamplerSnapshotView] = {}
+            begin = perf_counter() if self._profile_enabled else 0.0
             for worker_views in pool.collect(markers):
                 views.update(worker_views)
+            if self._profile_enabled:
+                self._note_phase("ack", perf_counter() - begin)
         except WorkerCrashError as error:
             # The cut found the pool dead. With a standby, promote: the
             # replayed log tail covers everything the crashed workers held,
@@ -1775,7 +1785,10 @@ class SamplerService:
         shards under the new layout).
         """
         pool = self._executor.transport
+        begin = perf_counter() if self._profile_enabled else 0.0
         pool.drain()
+        if self._profile_enabled:
+            self._note_phase("ack", perf_counter() - begin)
         for shard_id in sorted(self._shards):
             self._adopt(
                 shard_id, pool.detach(self._shard_key(shard_id), snapshot_sampler)

@@ -50,8 +50,12 @@ A zero-length frame is a *terminator*: log segments are recycled — trunca-
 tion at a checkpoint rewrites the terminator at the head of the file rather
 than shrinking it, so steady-state appends overwrite the segment's warm
 pages instead of paying the kernel's first-touch cost for fresh ones (the
-same reason production databases recycle redo-log segments). Replay stops
-at the terminator; stale frame bytes beyond it are invisible.
+same reason production databases recycle redo-log segments). Every reader
+— replay and shipping alike — reads frame by frame, header then exactly
+that body, and stops at the terminator, so stale frame bytes beyond it are
+never read. A log that this process wrote itself is truncated from its
+in-memory bookkeeping (each segment's highest sequence number), with no
+read at all.
 
 A *torn tail* — fewer bytes than the last frame promises, the crash artifact
 of an interrupted append — ends replay at the last valid frame and is
@@ -69,8 +73,8 @@ Log shipping
 
 :class:`LogShipper` (``WriteAheadLog.open_shipper()``) is the replication
 feed: an incremental, byte-offset-based reader that returns the committed
-frames appended since its last poll, never reading past the caller's
-committed horizon, a segment terminator, or a torn tail. Truncation and
+frames appended since its last poll, stopping at the caller's committed
+horizon, a segment terminator, or a torn tail. Truncation and
 layout changes bump the WAL's *shipping epoch*; the shipper notices, rewinds
 to the segment heads, and relies on the caller's applied watermark to skip
 frames it already delivered. :mod:`repro.service.replication` drives it to
@@ -96,7 +100,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from io import BytesIO
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -297,48 +301,42 @@ class LogScan:
     torn: TornTail | None = None
 
 
-def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
-    """Read every valid record of one log file.
+def _read_frames(
+    fh: BinaryIO,
+    path: str,
+    kind: int,
+    position: int,
+    after_seq: int = -1,
+    through_seq: int | None = None,
+    shipping: bool = False,
+) -> tuple[list[LogRecord], int, TornTail | None]:
+    """Read one log's frames from byte ``position`` with bounded reads.
 
-    A torn tail (truncated final frame — the artifact of a crash mid-append)
-    ends the scan at the last valid frame and is reported in the returned
-    :class:`LogScan`; with ``strict=True`` it raises :class:`WALError`
-    naming the file and offset instead. Damage *before* the tail — a CRC
-    mismatch on a fully-present frame, out-of-order sequence numbers, a bad
-    header — always raises :class:`WALError`. No raw ``struct`` error ever
-    escapes.
+    The single frame parser behind recovery (:func:`read_log_records`) and
+    shipping (:class:`LogShipper`). Each frame costs one read of its
+    header and one of exactly its body, so a recycled segment's stale
+    bytes beyond the terminator are never read. Every fully-present frame
+    is CRC-checked and its sequence number must exceed the previous one;
+    payloads are decoded only for frames with ``seq > after_seq``, which
+    are the ones returned.
+
+    Returns ``(records, stop, torn)``. ``stop`` is the offset the next read
+    should resume from: the reader stops *at* the recycled-segment
+    terminator, at a torn tail (``torn`` says where and why; an append
+    may still be in flight), and at the first frame beyond
+    ``through_seq``. ``shipping`` selects the CRC error wording for a
+    shipped frame.
     """
-    path = os.fspath(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        scan = LogScan(kind=-1, shard_id=-1, num_shards=0)
-        scan.torn = TornTail(path, 0, "file shorter than the 20-byte log header")
-        if strict:
-            raise WALError(f"{path}: torn write at offset 0: {scan.torn.reason}")
-        return scan
-    magic, version, kind, shard_field = _HEADER.unpack_from(data, 0)
-    if magic != _MAGIC:
-        raise WALError(f"{path}: not a repro WAL file (bad magic {magic!r})")
-    if version > WAL_FORMAT_VERSION:
-        raise WALError(
-            f"{path}: log format version {version} is newer than this build "
-            f"reads ({WAL_FORMAT_VERSION})"
-        )
-    if kind == _KIND_COMMIT:
-        scan = LogScan(kind=kind, shard_id=-1, num_shards=shard_field)
-    else:
-        scan = LogScan(kind=kind, shard_id=shard_field, num_shards=0)
-    position = _HEADER.size
+    size = os.fstat(fh.fileno()).st_size
+    fh.seek(position)
+    records: list[LogRecord] = []
     previous_seq = -1
-    while position < len(data):
-        remaining = len(data) - position
+    while position < size:
+        remaining = size - position
         if remaining < _FRAME.size:
-            scan.torn = TornTail(
-                path, position, f"{remaining} trailing bytes, too short for a frame header"
-            )
-            break
-        length, crc = _FRAME.unpack_from(data, position)
+            torn = f"{remaining} trailing bytes, too short for a frame header"
+            return records, position, TornTail(path, position, torn)
+        length, crc = _FRAME.unpack(fh.read(_FRAME.size))
         if length == 0:
             # Recycled-segment terminator: the log logically ends here even
             # though stale frame bytes (or zero padding) may follow. The crc
@@ -346,119 +344,94 @@ def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
             # leaves its tail bytes stale, and either way the log ends.
             break
         body_start = position + _FRAME.size
-        if length > len(data) - body_start:
-            scan.torn = TornTail(
-                path,
-                position,
+        if length > size - body_start:
+            torn = (
                 f"frame promises {length} body bytes but only "
-                f"{len(data) - body_start} remain",
+                f"{size - body_start} remain"
             )
-            break
-        body = data[body_start : body_start + length]
+            return records, position, TornTail(path, position, torn)
+        body = fh.read(length)
+        where = f"{path} @ offset {position}"
         if zlib.crc32(body) != crc:
+            if shipping:
+                raise WALError(
+                    f"{where}: CRC mismatch on a shipped frame; the log is "
+                    "corrupt — restore from a replica or truncate at this offset"
+                )
             raise WALError(
                 f"{path}: CRC mismatch at offset {position} (record after "
                 f"seq {previous_seq}); the log is corrupt — restore from a "
                 "replica or accept the loss by truncating at this offset"
             )
-        where = f"{path} @ offset {position}"
         try:
             if kind == _KIND_COMMIT:
                 seq, time, flags = _COMMIT_BODY.unpack_from(body, 0)
-                payload = None
             else:
                 seq, time = _SHARD_BODY.unpack_from(body, 0)
-                flags = int(body[_SHARD_BODY.size])
-                payload = _decode_payload(flags, body, _SHARD_BODY.size + 1, where)
-        except struct.error as error:
+                flags = body[_SHARD_BODY.size]
+        except (struct.error, IndexError) as error:
             raise WALError(f"{where}: malformed record body ({error})") from error
         if seq <= previous_seq:
             raise WALError(
                 f"{where}: sequence {seq} is not after {previous_seq}; "
                 "records are out of order — the log was rewritten inconsistently"
             )
+        if through_seq is not None and seq > through_seq:
+            break
         previous_seq = seq
         end = body_start + length
-        scan.records.append(LogRecord(int(seq), float(time), int(flags), payload, position, end))
+        if seq > after_seq:
+            payload = (
+                None
+                if kind == _KIND_COMMIT
+                else _decode_payload(flags, body, _SHARD_BODY.size + 1, where)
+            )
+            records.append(
+                LogRecord(int(seq), float(time), int(flags), payload, position, end)
+            )
         position = end
+    return records, position, None
+
+
+def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
+    """Read every valid record of one log file, up to its logical end.
+
+    Reading stops at the recycled-segment terminator, so the stale bytes a
+    recycled segment keeps beyond it are never read. A torn tail (truncated
+    final frame — the artifact of a crash mid-append) ends the scan at the
+    last valid frame and is reported in the returned :class:`LogScan`;
+    with ``strict=True`` it raises :class:`WALError` naming the file and
+    offset instead. Damage *before* the tail — a CRC mismatch on a
+    fully-present frame, out-of-order sequence numbers, a bad header —
+    always raises :class:`WALError`. No raw ``struct`` error ever escapes.
+    """
+    path = os.fspath(path)
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            scan = LogScan(kind=-1, shard_id=-1, num_shards=0)
+            scan.torn = TornTail(path, 0, "file shorter than the 20-byte log header")
+            if strict:
+                raise WALError(f"{path}: torn write at offset 0: {scan.torn.reason}")
+            return scan
+        magic, version, kind, shard_field = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise WALError(f"{path}: not a repro WAL file (bad magic {magic!r})")
+        if version > WAL_FORMAT_VERSION:
+            raise WALError(
+                f"{path}: log format version {version} is newer than this build "
+                f"reads ({WAL_FORMAT_VERSION})"
+            )
+        if kind == _KIND_COMMIT:
+            scan = LogScan(kind=kind, shard_id=-1, num_shards=shard_field)
+        else:
+            scan = LogScan(kind=kind, shard_id=shard_field, num_shards=0)
+        scan.records, _, scan.torn = _read_frames(fh, path, kind, _HEADER.size)
     if scan.torn is not None and strict:
         raise WALError(
             f"{path}: torn write at offset {scan.torn.offset}: {scan.torn.reason}"
         )
     return scan
-
-
-def _scan_frames_from(
-    path: str, kind: int, offset: int, after_seq: int, through_seq: int
-) -> tuple[list[LogRecord], int]:
-    """Incrementally scan one log's frames starting at byte ``offset``.
-
-    The shipping primitive behind :class:`LogShipper`: decodes records with
-    ``after_seq < seq <= through_seq`` and returns them with the byte offset
-    the next scan should resume from. The cursor advances over skipped
-    (already-shipped) frames but stops — *without* advancing — at the
-    recycled-segment terminator, at a torn tail (an append may still be in
-    flight; the frame is re-examined next poll), and at the first frame
-    beyond ``through_seq`` (present on disk but not yet in the caller's
-    committed horizon). Payload bodies are only decoded for frames actually
-    shipped; a CRC mismatch on any fully-present frame raises
-    :class:`WALError` as usual.
-    """
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(offset)
-            data = fh.read()
-    except FileNotFoundError:
-        return [], offset
-    records: list[LogRecord] = []
-    position = 0
-    while position < len(data):
-        if len(data) - position < _FRAME.size:
-            break  # in-flight or torn tail: retry from here next poll
-        length, crc = _FRAME.unpack_from(data, position)
-        if length == 0:
-            break  # recycled-segment terminator: logical end (for now)
-        body_start = position + _FRAME.size
-        if length > len(data) - body_start:
-            break  # torn tail
-        body = data[body_start : body_start + length]
-        where = f"{path} @ offset {offset + position}"
-        if zlib.crc32(body) != crc:
-            raise WALError(
-                f"{where}: CRC mismatch on a shipped frame; the log is "
-                "corrupt — restore from a replica or truncate at this offset"
-            )
-        try:
-            if kind == _KIND_COMMIT:
-                seq, time, flags = _COMMIT_BODY.unpack_from(body, 0)
-                payload_offset = None
-            else:
-                seq, time = _SHARD_BODY.unpack_from(body, 0)
-                flags = int(body[_SHARD_BODY.size])
-                payload_offset = _SHARD_BODY.size + 1
-        except (struct.error, IndexError) as error:
-            raise WALError(f"{where}: malformed record body ({error})") from error
-        if seq > through_seq:
-            break
-        end = body_start + length
-        if seq > after_seq:
-            payload = (
-                None
-                if payload_offset is None
-                else _decode_payload(flags, body, payload_offset, where)
-            )
-            records.append(
-                LogRecord(
-                    int(seq),
-                    float(time),
-                    int(flags),
-                    payload,
-                    offset + position,
-                    offset + end,
-                )
-            )
-        position = end
-    return records, offset + position
 
 
 # ----------------------------------------------------------------------
@@ -521,9 +494,9 @@ class _LogFile:
     Records are written with a single unbuffered ``write(2)`` carrying the
     frame header, the body, *and* a trailing zero-frame terminator; the file
     position then steps back over the terminator so the next record
-    overwrites it. Truncation (:meth:`rewrite_keeping` with nothing to keep
-    — the every-checkpoint case) just rewrites the terminator at the head of
-    the file instead of shrinking it: the segment's pages stay allocated, so
+    overwrites it. Truncation with nothing to keep (:meth:`recycle` — the
+    every-checkpoint case) just rewrites the terminator at the head of the
+    file instead of shrinking it: the segment's pages stay allocated, so
     steady-state appends overwrite warm pages rather than paying the
     kernel's first-touch cost for freshly extended files. Because record and
     terminator share one ``write(2)``, a killed process leaves the log at a
@@ -537,6 +510,11 @@ class _LogFile:
         self.shard_field = shard_field
         self._basename = os.path.basename(path)
         self._fh: Any = None
+        #: The highest ``seq`` the segment holds: ``-1`` when it holds no
+        #: record, ``None`` (unknown) while it holds records this process
+        #: did not write — an attached log — until a truncation scan
+        #: settles it.
+        self.last_seq: int | None = None
 
     def _open(self) -> Any:
         if self._fh is None or self._fh.closed:
@@ -546,6 +524,8 @@ class _LogFile:
                 size = 0
             if size >= _HEADER.size:
                 end = _scan_logical_end(self.path)
+                if end == _HEADER.size:
+                    self.last_seq = -1
                 self._fh = open(self.path, "r+b", buffering=0)
                 self._fh.seek(end)
             else:
@@ -554,9 +534,17 @@ class _LogFile:
                 self._fh.write(
                     _HEADER.pack(_MAGIC, WAL_FORMAT_VERSION, self.kind, self.shard_field)
                 )
+                self.last_seq = -1
         return self._fh
 
-    def append(self, chunks: Sequence[bytes | memoryview]) -> None:
+    def append(
+        self, chunks: Sequence[bytes | memoryview], seq: int | None = None
+    ) -> None:
+        """Append one record whose body is ``chunks``; ``seq`` is its sequence number.
+
+        A record appended without its ``seq`` leaves :attr:`last_seq`
+        unknown, so the next truncation scans the segment.
+        """
         # One writev(2) per record: frame header, body chunks, and the
         # terminator are gathered in the kernel, so the payload reaches the
         # page cache with zero userspace copies beyond the incremental CRC.
@@ -577,6 +565,8 @@ class _LogFile:
             while remainder:
                 remainder = remainder[fh.write(remainder) :]
         fh.seek(-_FRAME.size, os.SEEK_CUR)
+        if self.last_seq is not None:
+            self.last_seq = seq
 
     def flush(self, fsync: bool) -> None:
         if self._fh is None or self._fh.closed:
@@ -600,16 +590,41 @@ class _LogFile:
             finally:
                 self._fh.close()
 
+    def recycle(self) -> None:
+        """Empty the segment in place: rewrite its head as header + terminator.
+
+        The file keeps its length, so its already-touched pages serve the
+        next round of appends; the stale frames beyond the terminator are
+        never read again. The head is fsynced before this returns.
+        """
+        _fault(f"wal.truncate-write:{self._basename}")
+        head = (
+            _HEADER.pack(_MAGIC, WAL_FORMAT_VERSION, self.kind, self.shard_field)
+            + _ZERO_FRAME
+        )
+        if self._fh is not None and not self._fh.closed:
+            # Keep the handle (and the segment's warm pages): rewrite the
+            # head in place and park the position on the terminator.
+            self._fh.seek(0)
+            self._fh.write(head)
+            os.fsync(self._fh.fileno())
+            self._fh.seek(_HEADER.size)
+        else:
+            with open(self.path, "r+b") as fh:
+                fh.write(head)
+                fh.flush()
+                os.fsync(fh.fileno())
+        self.last_seq = -1
+
     def rewrite_keeping(self, keep: Callable[[LogRecord], bool]) -> None:
         """Atomically rewrite the log retaining only records passing ``keep``.
 
-        Used for truncation at a checkpoint watermark and for dropping
-        uncommitted orphan records during recovery. When nothing survives —
-        the common every-checkpoint case — the segment is *recycled*: a
-        zero-frame terminator is rewritten at the head of the file and the
-        file keeps its length, so its already-touched pages serve the next
-        round of appends. Otherwise the surviving frames are copied byte for
-        byte into a fresh file which replaces the old one with
+        The scan path of truncation, for a segment whose :attr:`last_seq`
+        is unknown or above the watermark, and of dropping uncommitted
+        orphan records during recovery: the log is read to learn which
+        records survive. When none does, the segment is recycled
+        (:meth:`recycle`). Otherwise the surviving frames are copied byte
+        for byte into a fresh file which replaces the old one with
         ``os.replace``. Either way a crash at any point leaves a readable
         log, and replay filters by watermark anyway, so truncation is pure
         space reclamation.
@@ -620,27 +635,11 @@ class _LogFile:
         scan = read_log_records(self.path)  # unbuffered writes: all visible
         retained = [record for record in scan.records if keep(record)]
         if not retained:
-            _fault(f"wal.truncate-write:{self._basename}")
-            head = (
-                _HEADER.pack(_MAGIC, WAL_FORMAT_VERSION, self.kind, self.shard_field)
-                + _ZERO_FRAME
-            )
-            if self._fh is not None and not self._fh.closed:
-                # Keep the handle (and the segment's warm pages): rewrite
-                # the head in place and park the position on the terminator.
-                self._fh.seek(0)
-                self._fh.write(head)
-                os.fsync(self._fh.fileno())
-                self._fh.seek(_HEADER.size)
-            else:
-                with open(self.path, "r+b") as fh:
-                    fh.write(head)
-                    fh.flush()
-                    os.fsync(fh.fileno())
+            self.recycle()
             return
         self.close()
         with open(self.path, "rb") as fh:
-            data = fh.read()
+            data = fh.read(retained[-1].end)
         temporary = self.path + ".tmp"
         _fault(f"wal.truncate-write:{self._basename}")
         with open(temporary, "wb") as fh:
@@ -651,6 +650,7 @@ class _LogFile:
             os.fsync(fh.fileno())
         _fault(f"wal.truncate-replace:{self._basename}")
         os.replace(temporary, self.path)
+        self.last_seq = retained[-1].seq
 
 
 @dataclass
@@ -910,14 +910,14 @@ class WriteAheadLog:
             log = self._shards[int(shard_id)]
             encoding, chunks = _encode_payload(sub_batch)
             log.append(
-                [_SHARD_BODY.pack(seq, time), bytes([encoding]), *chunks]
+                [_SHARD_BODY.pack(seq, time), bytes([encoding]), *chunks], seq
             )
             touched.append(log)
         if self.fsync != "none":
             for log in touched:
                 log.flush(fsync=self.fsync == "always")
         flags = _FLAG_EXPLICIT_KEYS if explicit_keys else 0
-        self._commit.append([_COMMIT_BODY.pack(seq, time, flags)])
+        self._commit.append([_COMMIT_BODY.pack(seq, time, flags)], seq)
         if self.fsync != "none":
             self._commit.flush(fsync=self.fsync == "always")
 
@@ -950,14 +950,22 @@ class WriteAheadLog:
 
         Called after a delta checkpoint lands: everything at or below the
         watermark is durable in the checkpoint, so the logs shrink back to
-        the replay tail (usually nothing). Crash-safe: replay filters by the
-        manifest watermark regardless. A replication caller must catch its
-        standby up *through* the watermark first — truncated frames are gone
-        from the shipping feed (the shipping epoch advances here).
+        the replay tail (usually nothing). A segment whose every record this
+        handle appended itself, all at or below the watermark, is recycled
+        from that bookkeeping alone — one head rewrite and fsync, no read.
+        A segment holding records above the watermark, or records of unknown
+        sequence (an attached log), is scanned and rewritten instead.
+        Crash-safe: replay filters by the manifest watermark regardless. A
+        replication caller must catch its standby up *through* the
+        watermark first — truncated frames are gone from the shipping feed
+        (the shipping epoch advances here).
         """
         self._shipping_epoch += 1
         for log in (*self._shards.values(), self._commit):
-            log.rewrite_keeping(lambda record: record.seq > watermark)
+            if log.last_seq is not None and log.last_seq <= watermark:
+                log.recycle()
+            else:
+                log.rewrite_keeping(lambda record: record.seq > watermark)
 
     def drop_uncommitted(self, last_committed: int) -> None:
         """Drop shard records beyond the last commit (crash orphans).
@@ -1111,11 +1119,13 @@ class LogShipper:
 
     The replication feed: each :meth:`poll` returns the frames appended
     since the previous one, bounded by the caller's committed horizon.
-    Cursors are byte offsets into each segment, so a poll costs one
-    ``open`` + ``read`` of only the new bytes per log. The shipper stops —
-    without advancing — at segment terminators, torn tails (an interrupted
-    append is re-examined next poll once the frame is whole), and frames
-    beyond ``through_seq``. When the WAL's shipping epoch moves (truncation,
+    Cursors are byte offsets into each segment, and each frame is read
+    header first and then exactly its body, so a poll reads only the
+    committed frames it ships, plus the frame header where it stops. The
+    shipper stops — without advancing — at segment terminators (never
+    reading a recycled segment's stale bytes beyond them), torn tails (an
+    interrupted append is re-examined next poll once the frame is whole),
+    and frames beyond ``through_seq``. When the WAL's shipping epoch moves (truncation,
     orphan drop, layout reset rewrote the segments) the cursors rewind to
     the segment heads and ``after_seq`` dedupes frames already delivered.
     """
@@ -1139,30 +1149,40 @@ class LogShipper:
         if wal._shipping_epoch != self._epoch:
             self._offsets.clear()
             self._epoch = wal._shipping_epoch
-        commits, next_offset = _scan_frames_from(
-            wal._commit.path,
-            _KIND_COMMIT,
-            self._offsets.get(_COMMIT_CURSOR, _HEADER.size),
-            after_seq,
-            through_seq,
+        commits = self._poll_log(
+            _COMMIT_CURSOR, wal._commit, after_seq, through_seq
         )
-        self._offsets[_COMMIT_CURSOR] = next_offset
         per_shard: dict[int, tuple[list[np.ndarray], list[float]]] = {}
         for shard_id in range(wal.num_shards):
-            records, next_offset = _scan_frames_from(
-                wal._shards[shard_id].path,
-                _KIND_SHARD,
-                self._offsets.get(shard_id, _HEADER.size),
-                after_seq,
-                through_seq,
+            records = self._poll_log(
+                shard_id, wal._shards[shard_id], after_seq, through_seq
             )
-            self._offsets[shard_id] = next_offset
             if records:
                 per_shard[shard_id] = (
                     [record.payload for record in records],  # type: ignore[misc]
                     [record.time for record in records],
                 )
         return ShippedFrames(commits=commits, per_shard=per_shard)
+
+    def _poll_log(
+        self, cursor: int, log: _LogFile, after_seq: int, through_seq: int
+    ) -> list[LogRecord]:
+        """Ship one log's frames from its cursor, advancing the cursor."""
+        try:
+            fh = open(log.path, "rb")
+        except FileNotFoundError:
+            return []
+        with fh:
+            records, self._offsets[cursor], _ = _read_frames(
+                fh,
+                log.path,
+                log.kind,
+                self._offsets.get(cursor, _HEADER.size),
+                after_seq,
+                through_seq,
+                shipping=True,
+            )
+        return records
 
 
 def recover_service(

@@ -29,7 +29,6 @@ from repro.core import (
 from repro.engine import (
     EngineError,
     ProcessPoolExecutor,
-    SerialExecutor,
     ThreadPoolExecutor,
     WorkerCrashError,
 )

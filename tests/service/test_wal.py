@@ -10,12 +10,14 @@ fully-present frame, garbage headers, out-of-order sequence numbers) raises
 
 from __future__ import annotations
 
+import builtins
 import os
 import struct
 
 import numpy as np
 import pytest
 
+import repro.service.wal as wal_module
 from repro.service import WALError, WALLayoutError, WriteAheadLog
 from repro.service.wal import read_log_records
 
@@ -282,3 +284,210 @@ class TestCollectReplay:
         os.unlink(os.path.join(wal.directory, "commit.wal"))
         with pytest.raises(WALLayoutError, match="commit.wal is missing"):
             WriteAheadLog.attach(wal.directory, num_shards=2)
+
+
+def _segment_paths(log: WriteAheadLog) -> list[str]:
+    return [log._commit.path, *(shard.path for shard in log._shards.values())]
+
+
+def _refuse_reads(path, strict=False):
+    raise AssertionError(f"truncation read {path}")
+
+
+class TestTruncationBookkeeping:
+    """Truncation recycles from in-memory bookkeeping when it can.
+
+    A segment whose every record this process appended, all at or below
+    the watermark, is recycled without being read; a segment holding
+    records of unknown sequence (an attached log) or records above the
+    watermark goes through the scan-and-rewrite path.
+    """
+
+    def test_self_written_log_truncates_without_reading_a_segment(
+        self, wal, monkeypatch
+    ):
+        for seq in range(5):
+            wal.append_batch(seq, float(seq + 1), _routed(np.arange(30)), explicit_keys=False)
+        sites: list[str] = []
+        fsynced: list[int] = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsynced.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(wal_module, "_FAULT_HOOK", sites.append)
+        monkeypatch.setattr(wal_module, "read_log_records", _refuse_reads)
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        wal.truncate(4)
+        names = [os.path.basename(path) for path in _segment_paths(wal)]
+        assert sorted(sites) == sorted(f"wal.truncate-write:{name}" for name in names)
+        assert len(fsynced) == len(names)  # one head rewrite + fsync each
+        monkeypatch.undo()
+        for path in _segment_paths(wal):
+            assert read_log_records(path).records == []
+        wal.append_batch(5, 6.0, _routed(np.arange(30)), explicit_keys=False)
+        commit = read_log_records(os.path.join(wal.directory, "commit.wal"))
+        assert [record.seq for record in commit.records] == [5]
+
+    def test_attached_log_keeps_records_above_the_watermark(self, tmp_path, monkeypatch):
+        log = WriteAheadLog.create(tmp_path / "wal", num_shards=2)
+        for seq in range(5):
+            log.append_batch(seq, float(seq + 1), _routed(np.arange(20)), explicit_keys=False)
+        log.close()
+        attached = WriteAheadLog.attach(tmp_path / "wal", num_shards=2)
+        scanned: list[str] = []
+
+        def spying_read(path, strict=False):
+            scanned.append(os.path.basename(path))
+            return read_log_records(path, strict)
+
+        monkeypatch.setattr(wal_module, "read_log_records", spying_read)
+        attached.truncate(2)
+        assert sorted(scanned) == sorted(
+            os.path.basename(path) for path in _segment_paths(attached)
+        )
+        for path in _segment_paths(attached):
+            assert [record.seq for record in read_log_records(path).records] == [3, 4]
+        # The scan settled the bookkeeping: the next truncation reads nothing.
+        attached.append_batch(5, 6.0, _routed(np.arange(20)), explicit_keys=False)
+        monkeypatch.setattr(wal_module, "read_log_records", _refuse_reads)
+        attached.truncate(5)
+        attached.close()
+
+    def test_append_truncate_append_truncate_on_one_handle(self, wal, monkeypatch):
+        def last_seqs():
+            return [wal._commit.last_seq, wal._shards[0].last_seq, wal._shards[1].last_seq]
+
+        assert last_seqs() == [-1, -1, -1]
+        for seq in range(3):
+            wal.append_batch(seq, float(seq + 1), _routed(np.arange(10)), explicit_keys=False)
+        assert last_seqs() == [2, 2, 2]
+        wal.truncate(2)
+        assert last_seqs() == [-1, -1, -1]
+        wal.append_batch(3, 4.0, _routed(np.arange(10)), explicit_keys=False)
+        wal.append_batch(4, 5.0, [(0, np.arange(5))], explicit_keys=False)
+        assert last_seqs() == [4, 4, 3]
+        # seq 4 sits above the watermark in the commit log and shard 0: those
+        # two are scanned and rewritten; shard 1 is recycled unread.
+        wal.truncate(3)
+        assert last_seqs() == [4, 4, -1]
+        expected = [[4], [4], []]
+        for path, seqs in zip(_segment_paths(wal), expected):
+            assert [record.seq for record in read_log_records(path).records] == seqs
+        wal.append_batch(5, 6.0, _routed(np.arange(10)), explicit_keys=False)
+        assert last_seqs() == [5, 5, 5]
+        monkeypatch.setattr(wal_module, "read_log_records", _refuse_reads)
+        wal.truncate(5)
+        assert last_seqs() == [-1, -1, -1]
+        monkeypatch.undo()
+        for path in _segment_paths(wal):
+            assert read_log_records(path).records == []
+
+
+class _CountingFile:
+    """A file object that counts the bytes its ``read`` calls return."""
+
+    def __init__(self, fh, counter: list[int]) -> None:
+        self._fh = fh
+        self._counter = counter
+
+    def read(self, size=-1):
+        data = self._fh.read(size)
+        self._counter[0] += len(data)
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
+class TestBoundedReads:
+    """Shipping and recovery read only the live frames of a recycled segment.
+
+    A segment recycled after a long cycle keeps its full length, so
+    megabytes of stale frames follow the terminator; a poll or a replay
+    must stop at the terminator instead of reading them.
+    """
+
+    def _recycled_after_long_cycle(self, tmp_path):
+        log = WriteAheadLog.create(tmp_path / "wal", num_shards=1)
+        shipper = log.open_shipper()
+        for seq in range(40):
+            batch = np.arange(10_000) + seq
+            log.append_batch(seq, float(seq + 1), [(0, batch)], explicit_keys=False)
+        assert shipper.poll(-1, 39).batches == 40
+        log.truncate(39)
+        live = [np.arange(7) * 3, np.arange(5, dtype=np.float64)]
+        for offset, batch in enumerate(live):
+            log.append_batch(40 + offset, 41.0 + offset, [(0, batch)], explicit_keys=False)
+        return log, shipper, live
+
+    def _live_bytes(self, log) -> int:
+        return sum(
+            record.end - record.start
+            for path in _segment_paths(log)
+            for record in read_log_records(path).records
+        )
+
+    def _count_reads(self, monkeypatch) -> list[int]:
+        counter = [0]
+
+        def counting_open(*args, **kwargs):
+            return _CountingFile(builtins.open(*args, **kwargs), counter)
+
+        monkeypatch.setattr(wal_module, "open", counting_open, raising=False)
+        return counter
+
+    def test_poll_reads_only_the_frames_it_ships(self, tmp_path, monkeypatch):
+        log, shipper, live = self._recycled_after_long_cycle(tmp_path)
+        stale = os.path.getsize(log._shards[0].path)
+        live_bytes = self._live_bytes(log)
+        counter = self._count_reads(monkeypatch)
+        shipped = shipper.poll(39, 41)
+        # The live frames plus the terminator's frame header in each log.
+        assert counter[0] <= live_bytes + 8 * len(_segment_paths(log)) < stale
+        assert [record.seq for record in shipped.commits] == [40, 41]
+        frames, times = shipped.per_shard[0]
+        assert times == [41.0, 42.0]
+        for frame, batch in zip(frames, live):
+            assert frame.dtype == batch.dtype
+            np.testing.assert_array_equal(frame, batch)
+        log.close()
+
+    def test_replay_reads_only_the_live_frames(self, tmp_path, monkeypatch):
+        log, _, live = self._recycled_after_long_cycle(tmp_path)
+        log.close()
+        live_bytes = self._live_bytes(log)
+        attached = WriteAheadLog.attach(tmp_path / "wal", num_shards=1)
+        counter = self._count_reads(monkeypatch)
+        plan = attached.collect_replay(39)
+        # The live frames plus, per log, its file header and terminator.
+        assert counter[0] <= live_bytes + (20 + 8) * len(_segment_paths(attached))
+        assert plan.last_seq == 41 and plan.torn == []
+        frames, times = plan.per_shard[0]
+        assert times == [41.0, 42.0]
+        for frame, batch in zip(frames, live):
+            np.testing.assert_array_equal(frame, batch)
+        attached.close()
+
+    def test_a_shipped_frame_with_a_bad_crc_raises(self, tmp_path):
+        log = WriteAheadLog.create(tmp_path / "wal", num_shards=1)
+        shipper = log.open_shipper()
+        log.append_batch(0, 1.0, [(0, np.arange(20))], explicit_keys=False)
+        log.flush()
+        path = log._shards[0].path
+        (record,) = read_log_records(path).records
+        data = bytearray(open(path, "rb").read())
+        data[record.start + 12] ^= 0xFF
+        with open(path, "r+b") as fh:
+            fh.write(bytes(data))
+        expected = f"offset {record.start}: CRC mismatch on a shipped frame"
+        with pytest.raises(WALError, match=expected):
+            shipper.poll(-1, 0)
+        log.close()
